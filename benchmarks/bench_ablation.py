@@ -83,7 +83,7 @@ def test_granularity_sweep(benchmark, artifact_dir):
         for m in (1, 4, 16, 64):
             report = instrument_elf(
                 binary.data, "jumps",
-                options=RewriteOptions(mode="loader", granularity=m))
+                options=RewriteOptions(granularity=m))
             g = report.result.grouping
             out[m] = (g.mapping_count, g.grouped_physical_bytes)
         return out
@@ -179,8 +179,7 @@ def test_packing_vs_grouping(benchmark, artifact_dir):
         for pack in (False, True):
             report = instrument_elf(
                 binary.data, "jumps",
-                options=RewriteOptions(mode="loader",
-                                       pack_allocations=pack))
+                options=RewriteOptions(pack_allocations=pack))
             g = report.result.grouping
             out[pack] = (len(g.blocks), len(g.groups),
                          g.grouped_physical_bytes, report.result.size_pct)

@@ -51,7 +51,7 @@ INSTRUMENTATIONS = ("empty", "counter")
 
 def lint_one(data: bytes, instrumentation: str):
     """Rewrite one binary with the linter on; returns its LintReport."""
-    options = RewriteOptions(mode="loader", lint=True, liveness=True)
+    options = RewriteOptions(lint=True, liveness=True)
     try:
         return instrument_elf(
             data, "all", instrumentation=instrumentation, options=options,

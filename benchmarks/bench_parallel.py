@@ -22,7 +22,7 @@ import sys
 import tempfile
 import time
 
-from repro.core.cache import ArtifactCache
+from repro.core.cache import ArtifactStore
 from repro.core.rewriter import RewriteOptions
 from repro.core.strategy import TacticToggles
 from repro.frontend.tool import rewrite_many
@@ -44,14 +44,14 @@ def corpus(sites: int) -> list[bytes]:
 
 def configs() -> list[RewriteOptions]:
     return [
-        RewriteOptions(mode="loader", granularity=g,
+        RewriteOptions(granularity=g,
                        toggles=TacticToggles(t3=t3))
         for g in (1, 2, 4, 8) for t3 in (True, False)
     ]
 
 
 def run_corpus(binaries: list[bytes], jobs: int,
-               cache: ArtifactCache | None) -> tuple[float, list[bytes]]:
+               cache: ArtifactStore | None) -> tuple[float, list[bytes]]:
     """(wall seconds, concatenated output bytes) for one full sweep."""
     t0 = time.perf_counter()
     outputs: list[bytes] = []
@@ -82,9 +82,9 @@ def main(argv: list[str] | None = None) -> int:
           f"({n_tasks} rewrites), cpus={os.cpu_count()}")
     for jobs in args.jobs:
         with tempfile.TemporaryDirectory(prefix="repro-bench-par-") as tmp:
-            cold_s, outputs = run_corpus(binaries, jobs, ArtifactCache(tmp))
+            cold_s, outputs = run_corpus(binaries, jobs, ArtifactStore(tmp))
             warm_s, warm_outputs = run_corpus(binaries, jobs,
-                                              ArtifactCache(tmp))
+                                              ArtifactStore(tmp))
         if reference is None:
             reference = outputs
         if outputs != reference or warm_outputs != reference:

@@ -36,7 +36,7 @@ import sys
 import tempfile
 import time
 
-from repro.core.cache import ArtifactCache
+from repro.core.cache import ArtifactStore
 from repro.core.observe import Observer
 from repro.core.rewriter import RewriteOptions
 from repro.core.strategy import TacticToggles
@@ -66,7 +66,7 @@ def section(title: str, obs: Observer) -> None:
 def parallel_batch_configs() -> list[RewriteOptions]:
     """Eight distinct configurations over one binary."""
     return [
-        RewriteOptions(mode="loader", granularity=g,
+        RewriteOptions(granularity=g,
                        toggles=TacticToggles(t3=t3))
         for g in (1, 2, 4, 8) for t3 in (True, False)
     ]
@@ -287,18 +287,18 @@ def bench_large(profile_name: str, metrics: dict) -> str | None:
 def bench_cache(data: bytes, metrics: dict) -> str | None:
     """Cold-vs-warm artifact cache; a warm run must do zero decode work."""
     with tempfile.TemporaryDirectory(prefix="repro-bench-cache-") as tmp:
-        cold_cache = ArtifactCache(tmp)
+        cold_cache = ArtifactStore(tmp)
         obs_cold = Observer()
         t0 = time.perf_counter()
-        cold = rewrite_many(data, [RewriteOptions(mode="loader")],
+        cold = rewrite_many(data, [RewriteOptions()],
                             matcher="jumps", observer=obs_cold,
                             cache=cold_cache)
         cold_s = time.perf_counter() - t0
 
-        warm_cache = ArtifactCache(tmp)
+        warm_cache = ArtifactStore(tmp)
         obs_warm = Observer()
         t0 = time.perf_counter()
-        warm = rewrite_many(data, [RewriteOptions(mode="loader")],
+        warm = rewrite_many(data, [RewriteOptions()],
                             matcher="jumps", observer=obs_warm,
                             cache=warm_cache)
         warm_s = time.perf_counter() - t0
@@ -394,13 +394,12 @@ def main(argv: list[str] | None = None) -> int:
     # costs (numpy ufunc initialization, allocator growth) that would
     # otherwise be billed to whichever pass runs first and swamp the
     # steady-state rates the gate tracks.
-    instrument_elf(binary.data, "jumps",
-                   options=RewriteOptions(mode="loader"))
+    instrument_elf(binary.data, "jumps")
 
     obs = Observer()
     t0 = time.perf_counter()
     report = instrument_elf(binary.data, "jumps",
-                            options=RewriteOptions(mode="loader"),
+                            options=RewriteOptions(),
                             observer=obs)
     metrics["single.total_s"] = time.perf_counter() - t0
     for name in ("decode", "match", "plan", "group", "emit"):
@@ -418,7 +417,7 @@ def main(argv: list[str] | None = None) -> int:
     obs = Observer()
     t0 = time.perf_counter()
     instrument_elf(binary.data, "jumps",
-                   options=RewriteOptions(mode="loader", verify=True),
+                   options=RewriteOptions(verify=True),
                    observer=obs)
     metrics["verified.total_s"] = time.perf_counter() - t0
     metrics["verified.verify_s"] = obs.timings.get("verify", 0.0)
@@ -430,9 +429,9 @@ def main(argv: list[str] | None = None) -> int:
     t0 = time.perf_counter()
     rewrite_many(
         binary.data,
-        [RewriteOptions(mode="loader"),
-         RewriteOptions(mode="loader", grouping=False),
-         RewriteOptions(mode="loader", toggles=TacticToggles(t3=False))],
+        [RewriteOptions(),
+         RewriteOptions(grouping=False),
+         RewriteOptions(toggles=TacticToggles(t3=False))],
         matcher="jumps", observer=obs,
     )
     metrics["batch3.total_s"] = time.perf_counter() - t0

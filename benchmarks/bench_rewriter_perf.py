@@ -24,8 +24,7 @@ def test_rewrite_throughput(benchmark, n_sites):
     binary = _binary(n_sites)
 
     def run():
-        return instrument_elf(binary.data, "jumps",
-                              options=RewriteOptions(mode="loader"))
+        return instrument_elf(binary.data, "jumps")
 
     report = benchmark(run)
     assert report.stats.success_pct > 99.0
@@ -63,7 +62,7 @@ def test_rewrite_system_libc(benchmark):
     def run():
         return instrument_elf(
             data, "jumps",
-            options=RewriteOptions(mode="loader", shared=True,
+            options=RewriteOptions(shared=True,
                                    library_path="/tmp/libc.patched.so"))
 
     report = benchmark.pedantic(run, rounds=1, iterations=1)
@@ -81,8 +80,7 @@ def test_browser_scale_synthetic(benchmark):
         n_jump_sites=30000, n_write_sites=10000, seed=777777))
 
     def run():
-        return instrument_elf(binary.data, "jumps",
-                              options=RewriteOptions(mode="loader"))
+        return instrument_elf(binary.data, "jumps")
 
     report = benchmark.pedantic(run, rounds=1, iterations=1)
     assert report.n_sites >= 30000

@@ -68,7 +68,7 @@ def make_binaries() -> dict[int, bytes]:
 
 
 def serial_expected(binaries: dict[int, bytes]) -> dict[int, bytes]:
-    options = RewriteOptions(mode="loader")
+    options = RewriteOptions()
     return {seed: instrument_elf(data, "jumps", options=options).result.data
             for seed, data in binaries.items()}
 

@@ -103,7 +103,7 @@ def phase_concurrent_correctness(tmp: pathlib.Path) -> None:
     print(f"== phase 1: {N_CONCURRENT} concurrent requests, "
           "byte-identical to one-shots ==")
     binaries = make_binaries()
-    options = RewriteOptions(mode="loader")
+    options = RewriteOptions()
     expected = {seed: instrument_elf(data, "jumps",
                                      options=options).result.data
                 for seed, data in binaries.items()}
@@ -141,7 +141,7 @@ def phase_backpressure(tmp: pathlib.Path) -> None:
           "retries succeed ==")
     data = make_binaries(1)[1]
     expected = instrument_elf(
-        data, "jumps", options=RewriteOptions(mode="loader")).result.data
+        data, "jumps").result.data
     socket_path = tmp / "p2.sock"
     proc = spawn_daemon(socket_path, "--workers", "1", "--queue", "1",
                         "--no-cache",
@@ -191,7 +191,7 @@ def phase_graceful_drain(tmp: pathlib.Path) -> None:
     print("== phase 3: SIGTERM drains in-flight requests ==")
     data = make_binaries(1)[1]
     expected = instrument_elf(
-        data, "jumps", options=RewriteOptions(mode="loader")).result.data
+        data, "jumps").result.data
     socket_path = tmp / "p3.sock"
     proc = spawn_daemon(socket_path, "--workers", "2", "--queue", "16",
                         "--no-cache", "--drain-timeout", "30",

@@ -33,7 +33,7 @@ def main() -> None:
     print(f"rewriting {LIBC} ({len(data) >> 20} MiB)...")
     report = instrument_elf(
         data, "jumps",
-        options=RewriteOptions(mode="loader", shared=True,
+        options=RewriteOptions(shared=True,
                                library_path=out_path),
         frontend="symbols",
     )

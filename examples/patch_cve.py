@@ -12,7 +12,7 @@ the developer's fix, then falls back into the original stream.
 Run:  python3 examples/patch_cve.py
 """
 
-from repro.core.rewriter import RewriteOptions, Rewriter
+from repro.core.rewriter import Rewriter
 from repro.core.strategy import PatchRequest
 from repro.core.trampoline import Instrumentation
 from repro.elf import constants as elfc
@@ -82,7 +82,7 @@ def main() -> None:
     print(f"  {site}\n")
 
     flag_vaddr = elf.section(".data").vaddr
-    rewriter = Rewriter(elf, instructions, RewriteOptions(mode="loader"))
+    rewriter = Rewriter(elf, instructions)
     result = rewriter.rewrite(
         [PatchRequest(insn=site, instrumentation=DeveloperFix(flag_vaddr))]
     )

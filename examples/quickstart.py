@@ -8,7 +8,7 @@ knowledge), and runs original + patched side by side in the bundled VM.
 Run:  python3 examples/quickstart.py
 """
 
-from repro.core.rewriter import RewriteOptions, Rewriter
+from repro.core.rewriter import Rewriter
 from repro.core.strategy import PatchRequest
 from repro.core.trampoline import Counter
 from repro.elf import constants as elfc
@@ -59,7 +59,7 @@ def main() -> None:
         print(f"  {insn}")
 
     # 2. Rewriter: counter instrumentation at every site.
-    rewriter = Rewriter(elf, instructions, RewriteOptions(mode="loader"))
+    rewriter = Rewriter(elf, instructions)
     counter_vaddr = rewriter.add_runtime_data(4096)
     result = rewriter.rewrite(
         [PatchRequest(insn=i, instrumentation=Counter(counter_vaddr))

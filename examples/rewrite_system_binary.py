@@ -16,7 +16,6 @@ import subprocess
 import sys
 import tempfile
 
-from repro.core.rewriter import RewriteOptions
 from repro.frontend.tool import instrument_elf
 
 
@@ -29,8 +28,7 @@ def main() -> None:
         data = f.read()
 
     print(f"input: {target} ({len(data)} bytes)")
-    report = instrument_elf(data, "jumps",
-                            options=RewriteOptions(mode="loader"))
+    report = instrument_elf(data, "jumps")
     print(f"rewrite: {report.summary()}")
     if report.result.grouping is not None:
         g = report.result.grouping

@@ -34,7 +34,7 @@ class CoverageInstrumenter:
     """Instrument a binary with one counter slot per matched site."""
 
     matcher: Matcher | str = "jumps"
-    options: RewriteOptions = field(default_factory=lambda: RewriteOptions(mode="loader"))
+    options: RewriteOptions = field(default_factory=RewriteOptions)
     observer: Observer | None = None
 
     def instrument(self, data: bytes) -> "InstrumentedBinary":

@@ -71,7 +71,7 @@ class Tracer:
 
     matcher: Matcher | str = "jumps"
     capacity: int = 4096
-    options: RewriteOptions = field(default_factory=lambda: RewriteOptions(mode="loader"))
+    options: RewriteOptions = field(default_factory=RewriteOptions)
     observer: Observer | None = None
 
     def instrument(self, data: bytes) -> "TracedBinary":

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from repro.check.oracle import Divergence, EquivalenceReport, RunSummary, check_rewrite
@@ -41,7 +41,7 @@ from repro.synth.generator import SynthesisParams, synthesize
 from repro.synth.profiles import profile_by_name
 
 #: Artifact schema tag (bump on incompatible changes).
-ARTIFACT_SCHEMA = "repro-check-repro/1"
+ARTIFACT_SCHEMA = "repro-check-repro/2"
 
 #: Default per-run VM instruction budget: campaign binaries are tiny
 #: (tens of sites, one iteration), so this is generous headroom while
@@ -77,7 +77,7 @@ class PatchConfig:
         return {
             "name": self.name,
             "matcher": self.matcher,
-            "options": options_to_dict(self.options),
+            "options": self.options.to_dict(),
         }
 
     @classmethod
@@ -85,7 +85,7 @@ class PatchConfig:
         return cls(
             name=d["name"],
             matcher=d.get("matcher", "jumps"),
-            options=options_from_dict(d.get("options", {})),
+            options=RewriteOptions.from_dict(d.get("options", {})),
         )
 
 
@@ -94,40 +94,18 @@ def default_patch_configs() -> list[PatchConfig]:
     forced B0 fallback, and ungrouped emission — every tactic and both
     named matchers are exercised."""
     return [
-        PatchConfig("full-jumps", "jumps",
-                    RewriteOptions(mode="loader")),
+        PatchConfig("full-jumps", "jumps", RewriteOptions()),
         PatchConfig("baseline-jumps", "jumps",
-                    RewriteOptions(mode="loader",
-                                   toggles=TacticToggles(
-                                       t1=False, t2=False, t3=False))),
+                    RewriteOptions(toggles=TacticToggles(
+                        t1=False, t2=False, t3=False))),
         PatchConfig("g16-writes", "heap-writes",
-                    RewriteOptions(mode="loader", granularity=16)),
+                    RewriteOptions(granularity=16)),
         PatchConfig("b0-forced", "jumps",
-                    RewriteOptions(mode="loader",
-                                   toggles=TacticToggles(
-                                       t1=False, t2=False, t3=False,
-                                       b0_fallback=True))),
+                    RewriteOptions(toggles=TacticToggles(
+                        t1=False, t2=False, t3=False, b0_fallback=True))),
         PatchConfig("nogroup-writes", "heap-writes",
-                    RewriteOptions(mode="loader", grouping=False)),
+                    RewriteOptions(grouping=False)),
     ]
-
-
-# -- options serialization (for .repro.json replayability) -------------------
-
-
-def options_to_dict(options: RewriteOptions) -> dict:
-    d = asdict(options)
-    d["reserve_extra"] = [list(pair) for pair in options.reserve_extra]
-    return d
-
-
-def options_from_dict(d: dict) -> RewriteOptions:
-    d = dict(d)
-    d["toggles"] = TacticToggles(**d.get("toggles", {}))
-    d["reserve_extra"] = tuple(
-        tuple(pair) for pair in d.get("reserve_extra", ())
-    )
-    return RewriteOptions(**d)
 
 
 # -- campaign configuration and results --------------------------------------

@@ -437,15 +437,14 @@ def sites_and_traps(
     # pipeline, which must stay importable without this module.
     from repro.elf.reader import ElfFile
     from repro.frontend.lineardisasm import disassemble_functions, disassemble_text
-    from repro.frontend.matchers import MATCHERS
+    from repro.frontend.matchers import resolve_matcher
 
     elf = ElfFile(data)
     if frontend == "symbols":
         instructions = disassemble_functions(elf)
     else:
         instructions = disassemble_text(elf)
-    if isinstance(matcher, str):
-        matcher = MATCHERS[matcher]
+    matcher = resolve_matcher(matcher)
     sites = frozenset(
         i.address for i in instructions if matcher is None or matcher(i)
     )

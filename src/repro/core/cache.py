@@ -78,6 +78,9 @@ _FINGERPRINT_MODULES = (
     "repro.x86.insn",
     "repro.frontend.lineardisasm",
     "repro.frontend.matchers",
+    # Match expressions are cache keys too; their predicates live here.
+    "repro.frontend.match_expr",
+    "repro.analysis.facts",
 )
 
 
@@ -98,10 +101,6 @@ def compute_toolchain_fingerprint() -> str:
             with open(path, "rb") as f:
                 h.update(f.read())
     return h.hexdigest()
-
-
-#: Backwards-compatible name for the pure computation.
-toolchain_fingerprint = compute_toolchain_fingerprint
 
 
 @dataclass(frozen=True)
@@ -247,8 +246,9 @@ class ArtifactStore:
     def match_key(self, decode_key: str, matcher_spec: str) -> str:
         """Key for a matcher's site list over one decoded stream.
 
-        Only *named* matchers are cacheable: an arbitrary callable has no
-        stable identity across processes.
+        Only string specs (named matchers and match expressions) are
+        cacheable: an arbitrary callable has no stable identity across
+        processes.
         """
         return self._digest("match", decode_key, matcher_spec)
 
@@ -393,7 +393,3 @@ class ArtifactStore:
     def size_bytes(self) -> int:
         """Current total size of every entry on disk."""
         return sum(size for _, size, _ in self._entries())
-
-
-#: Backwards-compatible alias: the PR-2 name for the store.
-ArtifactCache = ArtifactStore

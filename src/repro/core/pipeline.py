@@ -12,8 +12,8 @@ artifacts).  The standard passes are
   reuses one decode across many configurations);
 * :class:`MatchPass`    — patch-site selection;
 * :class:`PlanPass`     — strategy S1 over the requests (tactics B1..T3);
-* :class:`GroupPass`    — emission-mode resolution + physical page
-  grouping of the planned trampolines;
+* :class:`GroupPass`    — physical page grouping of the planned
+  trampolines;
 * :class:`EmitPass`     — ELF emission (phdr or loader mode);
 * :class:`VerifyPass`   — optional: re-decode every patched site and
   check its jump lands in a trampoline or back inside the image.
@@ -25,7 +25,7 @@ is a thin compatibility facade over this module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Protocol, Sequence, runtime_checkable
 
 from repro.core.allocator import AddressSpace
@@ -42,23 +42,44 @@ from repro.core.strategy import (
 )
 from repro.core.tactics import Tactic, TacticContext
 from repro.analysis.liveness import LivenessAnalysis
-from repro.core.trampoline import Trampoline
+from repro.core.trampoline import Trampoline, injected_skew
 from repro.elf import constants as elfc
 from repro.elf.dynamic import find_init_target, retarget_init
 from repro.elf.loader import Mapping, build_loader, loader_size_estimate
 from repro.elf.reader import ElfFile
 from repro.elf.writer import AppendedSegment, ElfRewriter
-from repro.errors import DecodeError, PatchError
+from repro.errors import DecodeError, OptionsError, PatchError
 from repro.x86.decoder import decode
 from repro.x86.insn import Instruction
 from repro.x86.tables import Flow
 
 
+#: Emission modes: ``loader`` (injected loader stub; supports grouping
+#: and negative PIE offsets) or ``phdr`` (one ``PT_LOAD`` per block).
+EMISSION_MODES = ("loader", "phdr")
+
+#: JSON spelling of the :class:`TacticToggles` fields (``docs/SERVICE.md``).
+_TOGGLE_KEYS = {"t1": "t1", "t2": "t2", "t3": "t3", "b0": "b0_fallback"}
+
+#: Exact runtime types per field annotation (annotations are strings
+#: here); ``type(v) in ...`` keeps a bool from passing as an int.
+_FIELD_TYPES = {
+    "str": (str,), "bool": (bool,), "int": (int,),
+    "str | None": (str, type(None)), "bool | None": (bool, type(None)),
+    "TacticToggles": (TacticToggles,), "tuple[tuple[int, int], ...]": (tuple,),
+}
+
+
 @dataclass
 class RewriteOptions:
-    """Knobs for a rewrite run (defaults match the paper's main setup)."""
+    """Knobs for a rewrite run (defaults match the paper's main setup).
 
-    mode: str = "auto"  # "phdr" | "loader" | "auto"
+    The one owner of option names, defaults, types and valid values:
+    every construction (``replace`` included) is validated, raising
+    :class:`~repro.errors.OptionsError`, and :meth:`from_dict`/:meth:`to_dict`
+    are the JSON codec every surface shares."""
+
+    mode: str = "loader"  # one of EMISSION_MODES
     grouping: bool = True  # physical page grouping on/off (ablation)
     granularity: int = 1  # M pages per block
     toggles: TacticToggles = field(default_factory=TacticToggles)
@@ -97,10 +118,57 @@ class RewriteOptions:
     # presence in executable segments); True/False force the mode.
     cet: bool | None = None
 
-    def resolve_mode(self) -> str:
-        if self.mode != "auto":
-            return self.mode
-        return "loader" if self.grouping else "phdr"
+    def __post_init__(self) -> None:
+        try:  # JSON spells pairs as lists; normalize to hashable tuples
+            self.reserve_extra = tuple((lo, hi) for lo, hi in self.reserve_extra)
+        except (TypeError, ValueError):
+            raise OptionsError("option 'reserve_extra' must be [lo, hi] pairs, "
+                               f"got {self.reserve_extra!r}") from None
+        typed = [(f.name, getattr(self, f.name), _FIELD_TYPES[f.type])
+                 for f in fields(self)]
+        typed += [(key, getattr(self.toggles, name), (bool,))
+                  for key, name in _TOGGLE_KEYS.items()]
+        typed += [("reserve_extra", v, (int,))
+                  for pair in self.reserve_extra for v in pair]
+        for name, value, types in typed:
+            if type(value) not in types:
+                raise OptionsError(
+                    f"option {name!r} must be "
+                    f"{' or '.join(t.__name__ for t in types)}, got {value!r}")
+        for name, valid, want in (
+            ("mode", self.mode in EMISSION_MODES, f"one of {', '.join(EMISSION_MODES)}"),
+            ("granularity", self.granularity >= 1, ">= 1"),
+            ("guard_pages", self.guard_pages >= 0, ">= 0"),
+        ):
+            if not valid:
+                raise OptionsError(f"option {name!r} must be {want}, "
+                                   f"got {getattr(self, name)!r}")
+
+    @classmethod
+    def from_dict(cls, params: dict) -> "RewriteOptions":
+        """Options from their flat JSON object (:meth:`to_dict`'s shape).
+        Missing keys take the defaults; unknown keys are errors, so a
+        typoed ``granularty`` never quietly rewrites with defaults."""
+        if not isinstance(params, dict):
+            raise OptionsError(f"options must be an object, got {params!r}")
+        known = {f.name for f in fields(cls)} - {"toggles"} | set(_TOGGLE_KEYS)
+        if unknown := sorted(set(params) - known):
+            raise OptionsError(f"unknown option(s): {', '.join(unknown)}")
+        kwargs = {k: v for k, v in params.items() if k not in _TOGGLE_KEYS}
+        kwargs["toggles"] = TacticToggles(**{
+            name: params[key] for key, name in _TOGGLE_KEYS.items()
+            if key in params
+        })
+        return cls(**kwargs)
+
+    def to_dict(self) -> dict:
+        """The flat JSON object :meth:`from_dict` reads back."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)
+               if f.name != "toggles"}
+        out["reserve_extra"] = [list(pair) for pair in self.reserve_extra]
+        out.update((key, getattr(self.toggles, name))
+                   for key, name in _TOGGLE_KEYS.items())
+        return out
 
 
 @dataclass
@@ -165,7 +233,6 @@ class RewriteContext:
 
     # -- plan/group/emit products ---------------------------------------
     plan: PatchPlan | None = None
-    mode: str | None = None
     trampolines: list[Trampoline] = field(default_factory=list)
     b0_sites: list[int] = field(default_factory=list)
     grouping: GroupingResult | None = None
@@ -227,6 +294,7 @@ class RewriteContext:
             image=self.image, space=self.space,
             instructions=self.instructions or [],
             cet=self.cet,
+            jump_back_skew=injected_skew(),
         )
 
     # -- injected runtime code/data (must precede planning) -------------
@@ -287,7 +355,7 @@ class RewriteContext:
             grouping=self.grouping,
             stats=self.plan.stats,
             input_size=len(self.elf.data),
-            mode=self.mode or self.options.resolve_mode(),
+            mode=self.options.mode,
             trampolines=self.trampolines,
             b0_sites=self.b0_sites,
             timings=dict(self.observer.timings),
@@ -445,15 +513,13 @@ class PlanPass(PipelinePass):
 
 
 class GroupPass(PipelinePass):
-    """Resolve the emission mode and run physical page grouping."""
+    """Run physical page grouping for the emission mode."""
 
     name = "group"
 
     def execute(self, ctx: RewriteContext) -> None:
         if ctx.plan is None:
             raise PatchError("GroupPass needs a patch plan")
-        mode = ctx.options.resolve_mode()
-        ctx.mode = mode
         ctx.trampolines = list(ctx.plan.trampolines) + list(ctx.runtime)
         ctx.b0_sites = [
             p.site for p in ctx.plan.patches if p.tactic == Tactic.B0
@@ -461,23 +527,17 @@ class GroupPass(PipelinePass):
         if not ctx.trampolines:
             ctx.grouping = None
             return
-        if mode == "phdr":
-            if any(t.vaddr < 0 for t in ctx.trampolines):
-                raise PatchError(
-                    "phdr mode cannot express negative PIE offsets; "
-                    "use loader mode"
-                )
-            ctx.grouping = group_trampolines(
-                ctx.trampolines, block_pages=1, enabled=False
+        phdr = ctx.options.mode == "phdr"  # one-to-one, page by page
+        if phdr and any(t.vaddr < 0 for t in ctx.trampolines):
+            raise PatchError(
+                "phdr mode cannot express negative PIE offsets; "
+                "use loader mode"
             )
-        elif mode == "loader":
-            ctx.grouping = group_trampolines(
-                ctx.trampolines,
-                block_pages=ctx.options.granularity,
-                enabled=ctx.options.grouping,
-            )
-        else:
-            raise PatchError(f"unknown emission mode {mode!r}")
+        ctx.grouping = group_trampolines(
+            ctx.trampolines,
+            block_pages=1 if phdr else ctx.options.granularity,
+            enabled=ctx.options.grouping and not phdr,
+        )
         obs = ctx.observer
         obs.count("group.blocks", len(ctx.grouping.blocks))
         obs.count("group.groups", len(ctx.grouping.groups))
@@ -498,7 +558,7 @@ class EmitPass(PipelinePass):
             rw.patch_vaddr(vaddr, data)
 
         if ctx.grouping is not None:
-            if ctx.mode == "phdr":
+            if ctx.options.mode == "phdr":
                 self._emit_phdr(ctx, rw)
             else:
                 self._emit_loader(ctx, rw)

@@ -137,6 +137,8 @@ class TacticContext:
     #: tactic may overwrite or pun through one (an indirect branch to a
     #: clobbered pad would fault under IBT enforcement).
     cet: bool = False
+    #: Test-only jump-back miscompile (see trampoline.injected_skew).
+    jump_back_skew: int = 0
     _addrs: list[int] = field(default_factory=list)
     _pw_cache: dict = field(default_factory=dict)
     _pw_version: int = -1
@@ -251,7 +253,8 @@ def _try_jump_to_new_trampoline(
         if t is None:
             continue
         try:
-            code = build_trampoline(tramp_insn, instr, t, size)
+            code = build_trampoline(tramp_insn, instr, t, size,
+                                    ctx.jump_back_skew)
         except PatchError:
             tx.release_last()
             continue
@@ -297,7 +300,7 @@ def try_direct(
         if t is None:
             continue
         try:
-            code = build_trampoline(insn, instr, t, size)
+            code = build_trampoline(insn, instr, t, size, ctx.jump_back_skew)
         except PatchError:
             space.release(t, size)
             continue
@@ -354,7 +357,7 @@ def try_successor_eviction(
                 break
             try:
                 evict_code = build_trampoline(succ, _EMPTY, t_evict,
-                                              evictee_size)
+                                              evictee_size, ctx.jump_back_skew)
             except PatchError:
                 tx.abort()
                 break

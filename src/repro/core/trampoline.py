@@ -29,14 +29,17 @@ from repro.x86.tables import Flow
 JMP_BACK_SIZE = 5
 
 
-def _inject_bug() -> bool:
+def injected_skew() -> int:
     """Test-only fault injection (``$REPRO_CHECK_INJECT_BUG``): when set,
-    every trampoline's jump-back displacement is miscomputed.  Exists so
-    the equivalence-check CI gate can prove it is able to fail; read
-    dynamically so tests can toggle it per-case."""
+    every trampoline's jump-back lands 2 bytes past the displaced
+    instruction's end (mid-instruction), the classic displacement-math
+    bug the equivalence oracle and the linter must catch.  Exists so
+    those CI gates can prove they are able to fail; read once per
+    rewrite (:meth:`RewriteContext.prepare_workspace`) so tests can
+    toggle it per case."""
     import os
 
-    return bool(os.environ.get("REPRO_CHECK_INJECT_BUG"))
+    return 2 if os.environ.get("REPRO_CHECK_INJECT_BUG") else 0
 
 # Caller-saved registers preserved around a call-style instrumentation.
 _SCRATCH_REGS = (enc.RAX, enc.RCX, enc.RDX, enc.RSI, enc.RDI,
@@ -337,13 +340,15 @@ def _no_return(insn: Instruction) -> bool:
 
 
 def build_trampoline(insn: Instruction, instr: Instrumentation,
-                     tramp_addr: int, expected: int | None = None) -> bytes:
+                     tramp_addr: int, expected: int | None = None,
+                     skew: int = 0) -> bytes:
     """Emit the trampoline body for *insn* at *tramp_addr*.
 
     *expected* is the size the caller allocated (normally the memoized
     :func:`trampoline_size`); passing it skips re-probing the
     instrumentation body while still failing loudly if the encoding does
-    not fit the allocation.
+    not fit the allocation.  *skew* is the test-only jump-back
+    miscompile of :func:`injected_skew`.
     """
     asm = enc.Assembler(base=tramp_addr)
     instr.emit(asm, insn)
@@ -351,12 +356,7 @@ def build_trampoline(insn: Instruction, instr: Instrumentation,
     out = bytearray(body)
     out += relocate(insn, tramp_addr + len(out))
     if not _no_return(insn):
-        back = insn.end - (tramp_addr + len(out) + JMP_BACK_SIZE)
-        if _inject_bug():
-            # Test-only miscompile: land the jump-back 2 bytes past the
-            # displaced instruction's end (mid-instruction), the classic
-            # displacement-math bug the equivalence oracle must catch.
-            back += 2
+        back = insn.end + skew - (tramp_addr + len(out) + JMP_BACK_SIZE)
         out += enc.encode_jmp_rel32(back)
     if expected is None:
         expected = trampoline_size(insn, instr)

@@ -11,6 +11,10 @@ class ReproError(Exception):
     """Base class for all errors raised by this library."""
 
 
+class OptionsError(ReproError, ValueError):
+    """A rewrite option has the wrong type, is out of range, or is unknown."""
+
+
 class DecodeError(ReproError):
     """An instruction could not be decoded at the given offset."""
 

@@ -21,7 +21,6 @@ from repro.frontend.tool import instrument_elf, rewrite_many
 from repro.synth.generator import SynthesisParams, synthesize
 from repro.synth.profiles import BinaryProfile
 from repro.vm.machine import Machine, TrapHandler, run_elf
-from repro.x86.decoder import decode
 
 
 @dataclass
@@ -42,8 +41,8 @@ def coverage_without_t3(profile: BinaryProfile, app: str = "A1",
     matcher = "jumps" if app == "A1" else "heap-writes"
     full, no_t3 = rewrite_many(
         binary.data,
-        [RewriteOptions(mode="loader"),
-         RewriteOptions(mode="loader", toggles=TacticToggles(t3=False))],
+        [RewriteOptions(),
+         RewriteOptions(toggles=TacticToggles(t3=False))],
         matcher=matcher, jobs=jobs, cache=cache,
     )
     return full.stats.success_pct, no_t3.stats.success_pct
@@ -57,8 +56,8 @@ def grouping_size_blowup(profile: BinaryProfile, app: str = "A1",
     matcher = "jumps" if app == "A1" else "heap-writes"
     grouped, naive = rewrite_many(
         binary.data,
-        [RewriteOptions(mode="loader", grouping=True),
-         RewriteOptions(mode="loader", grouping=False)],
+        [RewriteOptions(grouping=True),
+         RewriteOptions(grouping=False)],
         matcher=matcher, jobs=jobs, cache=cache,
     )
     return grouped.result.size_pct, naive.result.size_pct
@@ -72,8 +71,7 @@ def pie_effect(profile: BinaryProfile, app: str = "A1") -> tuple[float, float]:
     for pie in (False, True):
         params = replace(base_params, pie=pie)
         binary = synthesize(params)
-        report = instrument_elf(binary.data, matcher,
-                                options=RewriteOptions(mode="loader"))
+        report = instrument_elf(binary.data, matcher)
         out.append(report.stats.base_pct)
     return out[0], out[1]
 
@@ -91,8 +89,7 @@ def scale_invariance(profile: BinaryProfile, factors: tuple[float, ...] = (0.5, 
             n_write_sites=max(8, int(base.n_write_sites * f)),
         )
         binary = synthesize(params)
-        report = instrument_elf(binary.data, matcher,
-                                options=RewriteOptions(mode="loader"))
+        report = instrument_elf(binary.data, matcher)
         out.append(report.stats.success_pct)
     return out
 
@@ -108,8 +105,7 @@ def b0_slowdown(seed: int = 5, n_sites: int = 40, loop_iters: int = 3) -> tuple[
     binary = synthesize(params)
     orig = run_elf(binary.data)
 
-    jumps = instrument_elf(binary.data, "jumps",
-                           options=RewriteOptions(mode="loader"))
+    jumps = instrument_elf(binary.data, "jumps")
     patched = run_elf(jumps.result.data)
     jump_pct = 100.0 * patched.cost / max(1, orig.cost)
 

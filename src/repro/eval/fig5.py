@@ -59,7 +59,7 @@ def run_one(profile: BinaryProfile, *, jobs: int | None = None,
         return lowfat_instrumentation(install_lowfat_heap(rewriter, layout))
 
     # One batch, one decode: empty-body and LowFat configurations.
-    options = RewriteOptions(mode="loader")
+    options = RewriteOptions()
     reports = rewrite_many(
         binary.data,
         [RewriteConfig(instrumentation="empty", options=options,

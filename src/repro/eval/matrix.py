@@ -28,6 +28,7 @@ points; ``docs/EVAL.md`` documents the schema and how to add a cell.
 
 from __future__ import annotations
 
+import hashlib
 import os
 import platform
 import tempfile
@@ -73,7 +74,7 @@ class PatchConfigSpec:
 
     name: str
     matcher: str = "jumps"
-    options: RewriteOptions = field(default_factory=lambda: RewriteOptions(mode="loader"))
+    options: RewriteOptions = field(default_factory=RewriteOptions)
     #: Named instrumentation body ("counter") or None for empty
     #: trampolines; the ``*-slim`` configs pair a real body with
     #: liveness-driven save/restore elision so ``vm_overhead_ratio``
@@ -101,23 +102,23 @@ class OptionCombo:
 PATCH_CONFIGS: dict[str, PatchConfigSpec] = {
     spec.name: spec
     for spec in (
-        PatchConfigSpec("full-jumps", "jumps", RewriteOptions(mode="loader")),
+        PatchConfigSpec("full-jumps", "jumps", RewriteOptions()),
         PatchConfigSpec(
             "baseline-jumps",
             "jumps",
-            RewriteOptions(mode="loader", toggles=TacticToggles(t1=False, t2=False, t3=False)),
+            RewriteOptions(toggles=TacticToggles(t1=False, t2=False, t3=False)),
         ),
-        PatchConfigSpec("g16-writes", "heap-writes", RewriteOptions(mode="loader", granularity=16)),
+        PatchConfigSpec("g16-writes", "heap-writes", RewriteOptions(granularity=16)),
         PatchConfigSpec(
             "counter-jumps",
             "jumps",
-            RewriteOptions(mode="loader"),
+            RewriteOptions(),
             instrumentation="counter",
         ),
         PatchConfigSpec(
             "counter-jumps-slim",
             "jumps",
-            RewriteOptions(mode="loader", liveness=True),
+            RewriteOptions(liveness=True),
             instrumentation="counter",
         ),
     )
@@ -252,8 +253,9 @@ class CellResult:
 
     cell: MatrixCell
     metrics: dict[str, float | int] = field(default_factory=dict)
-    #: Non-numeric cell metadata (ELF type, CET), kept out of ``metrics``
-    #: so the trend gate's numeric comparisons never see strings.
+    #: Non-numeric cell metadata (ELF type, CET, the workload output's
+    #: ``output_sha256``), kept out of ``metrics`` so the trend gate's
+    #: numeric comparisons never see strings.
     meta: dict = field(default_factory=dict)
     verdict: str = "ok"  # "ok" | "divergent" | "unsupported" | "error"
     error: str | None = None
@@ -453,6 +455,8 @@ def _measure_workload(
                 metrics["warm_speedup"] = round(metrics["rewrite_s"] / warm_s, 3)
             metrics["cache_hits"] = engine.store.stats.hits
 
+    if meta is not None:
+        meta["output_sha256"] = hashlib.sha256(report.result.data).hexdigest()
     stats = report.stats
     metrics["sites"] = report.n_sites
     metrics["succ_pct"] = round(stats.success_pct, 3)
@@ -540,7 +544,7 @@ def _warmup() -> None:
     from repro.frontend.tool import instrument_elf
 
     binary = synthesize(SynthesisParams(n_jump_sites=16, n_write_sites=8, seed=1))
-    instrument_elf(binary.data, "jumps", options=RewriteOptions(mode="loader"))
+    instrument_elf(binary.data, "jumps")
 
 
 def run_matrix(

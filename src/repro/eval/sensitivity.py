@@ -62,7 +62,7 @@ def run_sensitivity(
         binary = synthesize(params)
         orig = run_elf(binary.data)
         [report] = rewrite_many(binary.data,
-                                [RewriteOptions(mode="loader")],
+                                [RewriteOptions()],
                                 matcher="jumps", jobs=jobs, cache=cache)
         patched = run_elf(report.result.data)
         assert patched.observable == orig.observable

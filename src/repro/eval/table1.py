@@ -81,7 +81,7 @@ def run_profile(
     pressure = int(profile.image_pressure_mb * 1024 * 1024)
     reserve = ((image_end, image_end + pressure),) if pressure else ()
     options = RewriteOptions(
-        mode="loader", grouping=grouping, granularity=granularity,
+        grouping=grouping, granularity=granularity,
         toggles=toggles or TacticToggles(),
         shared=profile.shared,
         # Shared stand-ins are real ET_DYN objects whose loader stub

@@ -29,9 +29,12 @@ gate):
 * ``vm_overhead_ratio`` / ``*_visits`` — lower is better, relative;
 * anything else is informational and never moves a cell.
 
+A cell whose ``meta.output_sha256`` differs from a baseline that
+records one is reported as *output changed* (different rewrite bytes).
+
 Exit status: nonzero when any cell regressed, or — with ``--strict`` —
 when a baseline cell or metric is missing from the current run
-(mirroring ``bench_gate.py --strict``).
+(mirroring ``bench_gate.py --strict``) or a cell's output changed.
 """
 
 from __future__ import annotations
@@ -148,6 +151,8 @@ class CellTrend:
     status: str  # "improved" | "stable" | "regressed" | "new" | "missing"
     weak: list[str] = field(default_factory=list)
     failed: str | None = None  # non-ok cell verdict from the run itself
+    #: "<baseline hash> -> <current hash>" when the output bytes changed.
+    output_changed: str | None = None
     metrics: dict[str, dict] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
@@ -156,6 +161,7 @@ class CellTrend:
             "status": self.status,
             "weak": self.weak,
             "failed": self.failed,
+            "output_changed": self.output_changed,
             "metrics": self.metrics,
         }
 
@@ -185,6 +191,10 @@ class TrendReport:
     @property
     def failed_cells(self) -> list[CellTrend]:
         return [c for c in self.cells if c.failed]
+
+    @property
+    def changed_outputs(self) -> list[CellTrend]:
+        return [c for c in self.cells if c.output_changed]
 
     def counts(self) -> dict[str, int]:
         counts: dict[str, int] = {}
@@ -234,6 +244,10 @@ def compare(
             trend.failed = f"{cur.get('verdict')}: {cur.get('error') or ''}".strip()
         trend.weak = weaknesses(cur_metrics)
         if base is not None:
+            base_hash = base.get("meta", {}).get("output_sha256")
+            cur_hash = cur.get("meta", {}).get("output_sha256")
+            if base_hash and cur_hash != base_hash:
+                trend.output_changed = f"{base_hash[:12]} -> {(cur_hash or 'none')[:12]}"
             base_metrics = base.get("metrics", {})
             statuses = []
             for name in sorted(base_metrics):
@@ -349,6 +363,8 @@ def render_markdown(report: TrendReport, history: list[dict] | None = None) -> s
                 notes.append(f"{name}: {m['detail']}")
         if cell.failed:
             notes.append(f"run failed ({cell.failed})")
+        if cell.output_changed:
+            notes.append(f"output changed ({cell.output_changed})")
         lines.append(
             f"| `{cell.cell_id}` | {_STATUS_MARK.get(cell.status, '?')} {cell.status} "
             f"| {'; '.join(cell.weak) or '-'} | {'; '.join(notes) or '-'} |"
@@ -377,7 +393,8 @@ def print_console(report: TrendReport) -> None:
         flag = {"regressed": "FAIL", "missing": "MISS"}.get(cell.status, "ok  ")
         weak = f"  WEAK: {'; '.join(cell.weak)}" if cell.weak else ""
         failed = f"  RUN-FAILED: {cell.failed}" if cell.failed else ""
-        print(f"  {cell.cell_id.ljust(width)}  {flag}  {cell.status}{weak}{failed}")
+        changed = f"  OUTPUT-CHANGED: {cell.output_changed}" if cell.output_changed else ""
+        print(f"  {cell.cell_id.ljust(width)}  {flag}  {cell.status}{weak}{failed}{changed}")
     for name in report.missing_metrics:
         print(f"  missing-metric: {name}")
 
@@ -406,7 +423,7 @@ def main(argv: list[str] | None = None) -> int:
         "--strict",
         action="store_true",
         help="also fail when a baseline cell or metric is missing from "
-        "the current run",
+        "the current run, or when a cell's output bytes changed",
     )
     parser.add_argument(
         "--fail-weak",
@@ -470,6 +487,8 @@ def main(argv: list[str] | None = None) -> int:
             f"strict: {len(report.missing)} missing cell(s), "
             f"{len(report.missing_metrics)} missing metric(s)"
         )
+    if args.strict and report.changed_outputs:
+        failures.append(f"strict: {len(report.changed_outputs)} cell(s) changed output")
     if args.fail_weak and report.weak_cells:
         failures.append(
             f"{len(report.weak_cells)} weak cell(s): "

@@ -20,17 +20,7 @@ from collections import Counter
 
 from repro.elf.reader import ElfFile
 from repro.frontend.lineardisasm import disassemble_functions, disassemble_text
-from repro.frontend.matchers import MATCHERS, Matcher
-
-
-def resolve_matcher(text: str | None) -> Matcher | None:
-    if text is None:
-        return None
-    if text in MATCHERS:
-        return MATCHERS[text]
-    from repro.frontend.match_expr import compile_matcher
-
-    return compile_matcher(text)
+from repro.frontend.matchers import Matcher, resolve_matcher
 
 
 def dump_lines(data: bytes, *, matcher: Matcher | None = None,

@@ -18,11 +18,6 @@ path may consult ``os.environ`` or module globals.
   :class:`~repro.core.pipeline.RewriteContext`, a fresh allocator —
   so N threads rewriting the same or different binaries produce
   byte-identical outputs to N serial one-shot runs.
-
-:func:`options_from_dict` converts the JSON-level options object used
-by the service API (and mirroring the JSON-RPC ``options`` method of
-:mod:`repro.frontend.protocol`) into a typed
-:class:`~repro.core.pipeline.RewriteOptions`.
 """
 
 from __future__ import annotations
@@ -33,53 +28,9 @@ from repro.core.cache import ArtifactStore, CacheConfig
 from repro.core.observe import Observer
 from repro.core.parallel import ExecutorConfig
 from repro.core.rewriter import RewriteOptions
-from repro.core.strategy import TacticToggles
-from repro.frontend.matchers import MATCHERS
 from repro.frontend.tool import InstrumentReport, RewriteConfig, rewrite_many
 
-__all__ = ["EngineConfig", "RewriteEngine", "options_from_dict"]
-
-#: JSON option keys accepted by :func:`options_from_dict`.
-_OPTION_KEYS = frozenset({
-    "mode", "grouping", "granularity", "guard_pages", "shared",
-    "library_path", "pack_allocations", "verify", "check",
-    "liveness", "lint", "t1", "t2", "t3", "b0",
-})
-
-
-def options_from_dict(params: dict) -> RewriteOptions:
-    """Typed :class:`RewriteOptions` from a JSON options object.
-
-    Unknown keys raise ``ValueError`` (the service maps that to a 400)
-    rather than being silently dropped — a typoed ``granularty`` must
-    not quietly rewrite with defaults.
-    """
-    unknown = set(params) - _OPTION_KEYS
-    if unknown:
-        raise ValueError(f"unknown option(s): {', '.join(sorted(unknown))}")
-    mode = params.get("mode", "auto")
-    if mode not in ("auto", "phdr", "loader"):
-        raise ValueError(f"invalid mode {mode!r}")
-    toggles = TacticToggles(
-        t1=bool(params.get("t1", True)),
-        t2=bool(params.get("t2", True)),
-        t3=bool(params.get("t3", True)),
-        b0_fallback=bool(params.get("b0", False)),
-    )
-    return RewriteOptions(
-        mode=mode,
-        grouping=bool(params.get("grouping", True)),
-        granularity=int(params.get("granularity", 1)),
-        guard_pages=int(params.get("guard_pages", 1)),
-        shared=bool(params.get("shared", False)),
-        library_path=params.get("library_path"),
-        pack_allocations=bool(params.get("pack_allocations", False)),
-        verify=bool(params.get("verify", False)),
-        check=bool(params.get("check", False)),
-        liveness=bool(params.get("liveness", False)),
-        lint=bool(params.get("lint", False)),
-        toggles=toggles,
-    )
+__all__ = ["EngineConfig", "RewriteEngine"]
 
 
 @dataclass(frozen=True)
@@ -132,19 +83,13 @@ class RewriteEngine:
     ) -> InstrumentReport:
         """One stateless rewrite request.
 
-        *matcher* is a named matcher or a match expression (compiled
-        here, off the engine's shared state); *observer* defaults to a
-        fresh per-request instance so concurrent requests never share
-        timing accumulators.
+        *matcher* is a named matcher or a match expression; *observer*
+        defaults to a fresh per-request instance so concurrent requests
+        never share timing accumulators.
         """
-        spec = matcher
-        if isinstance(matcher, str) and matcher not in MATCHERS:
-            from repro.frontend.match_expr import compile_matcher
-
-            spec = compile_matcher(matcher)
         return rewrite_many(
             bytes(data),
-            [RewriteConfig(matcher=spec, instrumentation=instrumentation,
+            [RewriteConfig(matcher=matcher, instrumentation=instrumentation,
                            options=options)],
             frontend=frontend or self.config.frontend,
             observer=observer or Observer(),

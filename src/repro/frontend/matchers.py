@@ -57,6 +57,16 @@ MATCHERS: dict[str, Matcher] = {
 }
 
 
+def resolve_matcher(spec: Matcher | str | None) -> Matcher | None:
+    """A named matcher or a compiled match expression (see
+    :mod:`repro.frontend.match_expr`); predicates and None pass through."""
+    if not isinstance(spec, str):
+        return spec
+    from repro.frontend.match_expr import compile_matcher
+
+    return MATCHERS.get(spec) or compile_matcher(spec)
+
+
 def select_sites(
     instructions: list[Instruction], matcher: Matcher
 ) -> list[Instruction]:

@@ -9,7 +9,8 @@ third-party frontends (or tests) can drive the rewriter the same way.
 Methods, in the order a session normally uses them:
 
 ``binary``      ``{"filename": ..., "data": <base64>}`` (one of the two)
-``options``     rewrite options: mode / grouping / granularity / tactics
+``options``     rewrite options, as :meth:`RewriteOptions.from_dict` reads
+                them (unknown keys and bad values are errors)
 ``trampoline``  register a named trampoline template (see
                 :mod:`repro.core.templates`); parameters are bound per
                 patch request
@@ -35,7 +36,7 @@ from typing import Any
 
 from repro.errors import PatchError, ReproError
 from repro.core.rewriter import RewriteOptions, Rewriter
-from repro.core.strategy import PatchRequest, TacticToggles
+from repro.core.strategy import PatchRequest
 from repro.core.templates import BUILTIN_TEMPLATES, TrampolineTemplate, load_template
 from repro.elf.reader import ElfFile
 from repro.frontend.lineardisasm import disassemble_text
@@ -58,7 +59,7 @@ class E9PatchSession:
     """One rewriting session driven by protocol messages."""
 
     elf: ElfFile | None = None
-    options: RewriteOptions = field(default_factory=lambda: RewriteOptions(mode="loader"))
+    options: RewriteOptions = field(default_factory=RewriteOptions)
     templates: dict[str, TrampolineTemplate] = field(
         default_factory=lambda: dict(BUILTIN_TEMPLATES))
     declared_sites: list[int] = field(default_factory=list)
@@ -134,19 +135,7 @@ class E9PatchSession:
         }
 
     def _do_options(self, params: dict[str, Any]) -> dict[str, Any]:
-        toggles = TacticToggles(
-            t1=params.get("t1", True),
-            t2=params.get("t2", True),
-            t3=params.get("t3", True),
-            b0_fallback=params.get("b0", False),
-        )
-        self.options = RewriteOptions(
-            mode=params.get("mode", "loader"),
-            grouping=params.get("grouping", True),
-            granularity=params.get("granularity", 1),
-            shared=params.get("shared", False),
-            toggles=toggles,
-        )
+        self.options = RewriteOptions.from_dict(params)
         return {"ok": True}
 
     def _do_trampoline(self, params: dict[str, Any]) -> dict[str, Any]:

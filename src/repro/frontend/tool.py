@@ -33,12 +33,13 @@ from repro.core.cache import ArtifactStore
 from repro.core.grouping import DEFAULT_MAX_MAP_COUNT
 from repro.core.observe import Observer, derive_throughput, stderr_trace_hook
 from repro.core.parallel import BatchExecutor, ExecutorConfig, is_picklable
-from repro.core.pipeline import DecodePass, MatchPass, RewriteContext
+from repro.core.pipeline import EMISSION_MODES, DecodePass, MatchPass, RewriteContext
 from repro.core.rewriter import RewriteOptions, RewriteResult, Rewriter
 from repro.core.strategy import PatchRequest, TacticToggles
 from repro.core.trampoline import Counter, Empty, Instrumentation
 from repro.elf.reader import ElfFile
-from repro.frontend.matchers import MATCHERS, Matcher
+from repro.errors import OptionsError
+from repro.frontend.matchers import MATCHERS, Matcher, resolve_matcher
 from repro.x86.fastscan import InstructionStream
 
 
@@ -301,7 +302,7 @@ def _match_sites(
     decode_key: str | None,
 ) -> list:
     """Resolve a matcher spec to its site list: per-batch memo first,
-    then the on-disk cache (named matchers only), then ``MatchPass``."""
+    then the on-disk cache (string specs only), then ``MatchPass``."""
     memo_key = spec if isinstance(spec, str) else id(spec)
     if memo_key in site_cache:
         return site_cache[memo_key]
@@ -322,8 +323,7 @@ def _match_sites(
             return sites
         observer.count("cache.match.misses")
 
-    fn = MATCHERS[spec] if isinstance(spec, str) else spec
-    MatchPass(fn).run(base)
+    MatchPass(resolve_matcher(spec)).run(base)
     sites = base.sites
     if match_key is not None:
         site_indices = getattr(base.instructions, "site_indices", None)
@@ -456,8 +456,9 @@ def instrument_elf(
 ) -> InstrumentReport:
     """Instrument every matched instruction of the binary *data*.
 
-    *matcher* may be a predicate or one of the named matchers
-    (``"jumps"``, ``"heap-writes"``, ``"calls"``, ``"all"``).
+    *matcher* may be a predicate, one of the named matchers
+    (``"jumps"``, ``"heap-writes"``, ``"calls"``, ``"all"``) or a match
+    expression.
     *instrumentation* may be an :class:`Instrumentation`, ``"empty"``, or
     ``"counter"`` (a shared 64-bit counter placed in a fresh RW segment;
     its address is reported in the result).  A single-configuration
@@ -489,7 +490,7 @@ def instrument_elf_auto(
     describes.  The adaptive search decodes the binary only once.
     """
     limit = max_mappings if max_mappings is not None else DEFAULT_MAX_MAP_COUNT
-    base = options or RewriteOptions(mode="loader")
+    base = options or RewriteOptions()
     prepared = prepare_binary(data, cache=cache)
     m = max(1, base.granularity)
     while True:
@@ -605,8 +606,8 @@ def main(argv: list[str] | None = None) -> int:
         "~/.cache/repro)",
     )
     parser.add_argument(
-        "--mode", default="auto", choices=("auto", "phdr", "loader"),
-        help="emission mode (default: auto)",
+        "--mode", default="loader", choices=EMISSION_MODES,
+        help="emission mode (default: loader)",
     )
     parser.add_argument(
         "--granularity", "-g", type=int, default=1, metavar="M",
@@ -653,28 +654,25 @@ def main(argv: list[str] | None = None) -> int:
     if args.shared and library_path is None:
         library_path = args.output
 
-    options = RewriteOptions(
-        mode=args.mode,
-        grouping=not args.no_grouping,
-        granularity=args.granularity,
-        toggles=TacticToggles(
-            t1=not args.no_t1, t2=not args.no_t2, t3=not args.no_t3
-        ),
-        shared=args.shared,
-        library_path=library_path,
-        cet=args.cet,
-        verify=args.verify,
-        liveness=args.liveness,
-        lint=args.lint,
-    )
+    try:
+        options = RewriteOptions(
+            mode=args.mode,
+            grouping=not args.no_grouping,
+            granularity=args.granularity,
+            toggles=TacticToggles(
+                t1=not args.no_t1, t2=not args.no_t2, t3=not args.no_t3
+            ),
+            shared=args.shared,
+            library_path=library_path,
+            cet=args.cet,
+            verify=args.verify,
+            liveness=args.liveness,
+            lint=args.lint,
+        )
+    except OptionsError as exc:
+        parser.error(str(exc))
     with open(args.input, "rb") as f:
         data = f.read()
-
-    matcher: Matcher | str = args.match
-    if args.match not in MATCHERS:
-        from repro.frontend.match_expr import compile_matcher
-
-        matcher = compile_matcher(args.match)
 
     instrumentation: object = args.instrument
     if args.template:
@@ -705,8 +703,8 @@ def main(argv: list[str] | None = None) -> int:
     def run() -> InstrumentReport:
         return rewrite_many(
             data,
-            [RewriteConfig(matcher=matcher, instrumentation=instrumentation,
-                           options=options)],
+            [RewriteConfig(matcher=args.match,
+                           instrumentation=instrumentation, options=options)],
             frontend=args.frontend, observer=observer,
             jobs=args.jobs, cache=cache,
         )[0]
@@ -748,7 +746,7 @@ def main(argv: list[str] | None = None) -> int:
         oracle = check_rewrite(
             data, report.result.data,
             b0_sites=report.result.b0_sites,
-            matcher=matcher, frontend=args.frontend,
+            matcher=args.match, frontend=args.frontend,
         )
         campaign = None
         if args.check_count > 0:

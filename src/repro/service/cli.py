@@ -26,6 +26,8 @@ import pathlib
 
 from repro.core.cache import CacheConfig
 from repro.core.parallel import ExecutorConfig
+from repro.core.pipeline import EMISSION_MODES, RewriteOptions
+from repro.errors import OptionsError, ReproError
 from repro.service.config import ServiceConfig
 
 
@@ -149,8 +151,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="instrumentation to rewrite with (default: counter)",
     )
     lint.add_argument(
-        "--mode", default="auto", choices=("auto", "phdr", "loader"),
-        help="emission mode (default: auto)",
+        "--mode", default="loader", choices=EMISSION_MODES,
+        help="emission mode (default: loader)",
     )
     lint.add_argument(
         "--liveness", action=argparse.BooleanOptionalAction, default=True,
@@ -243,8 +245,6 @@ def run_matrix_command(args: argparse.Namespace) -> int:
 def run_lint_command(args: argparse.Namespace) -> int:
     """``repro lint``: rewrite inputs with the linter on, report findings."""
     from repro.analysis.lint import LintError
-    from repro.core.pipeline import RewriteOptions
-    from repro.errors import ReproError
     from repro.frontend.tool import instrument_elf
 
     options = RewriteOptions(mode=args.mode, lint=True,
@@ -293,7 +293,8 @@ def run_lint_command(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     if args.command == "serve":
         from repro.service.server import RewriteService
 
@@ -306,7 +307,10 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "matrix":
         return run_matrix_command(args)
     if args.command == "lint":
-        return run_lint_command(args)
+        try:
+            return run_lint_command(args)
+        except OptionsError as exc:
+            parser.error(str(exc))
     return 2
 
 

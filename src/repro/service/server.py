@@ -41,8 +41,9 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from repro.core.cache import ArtifactStore
-from repro.errors import ReproError
-from repro.frontend.engine import EngineConfig, RewriteEngine, options_from_dict
+from repro.core.pipeline import RewriteOptions
+from repro.errors import OptionsError, ReproError
+from repro.frontend.engine import EngineConfig, RewriteEngine
 from repro.service.config import ServiceConfig
 from repro.service.metrics import ServiceMetrics
 
@@ -244,16 +245,11 @@ class RewriteService:
             self.metrics.count("bad_requests")
             return 400, _error_body("bad_request", f"invalid base64: {exc}")
         try:
-            options = options_from_dict(payload.get("options") or {})
-        except (TypeError, ValueError) as exc:
-            self.metrics.count("bad_requests")
-            return 400, _error_body("bad_request", str(exc))
-        try:
             report = self.engine.rewrite(
                 data,
                 matcher=payload.get("matcher", "jumps"),
                 instrumentation=payload.get("instrumentation"),
-                options=options,
+                options=payload["options"],
                 frontend=payload.get("frontend"),
             )
         except ReproError as exc:
@@ -433,8 +429,11 @@ class RewriteService:
                 "'instrumentation' must be one of "
                 + "/".join(str(i) for i in _INSTRUMENTATIONS if i))
         options = payload.get("options")
-        if options is not None and not isinstance(options, dict):
-            raise _BadRequest("'options' must be an object")
+        try:
+            payload["options"] = RewriteOptions.from_dict(
+                {} if options is None else options)
+        except OptionsError as exc:
+            raise _BadRequest(str(exc)) from None
         frontend = payload.get("frontend")
         if frontend not in (None, "linear", "symbols"):
             raise _BadRequest("'frontend' must be 'linear' or 'symbols'")

@@ -14,7 +14,6 @@ from repro.check import (
     run_campaign,
     shrink_params,
 )
-from repro.check.campaign import options_from_dict, options_to_dict
 from repro.core.observe import Observer
 from repro.core.rewriter import RewriteOptions
 from repro.core.strategy import TacticToggles
@@ -97,7 +96,7 @@ class TestInjectedBug:
         assert failure.artifact_path is not None
         artifact = json.loads((tmp_path / failure.artifact_path.rsplit(
             "/", 1)[-1]).read_text())
-        assert artifact["schema"] == "repro-check-repro/1"
+        assert artifact["schema"] == "repro-check-repro/2"
         # Replay with the bug still injected: diverges again.
         assert replay_artifact(artifact).verdict == "divergent"
         # Replay on the fixed rewriter: equivalent.
@@ -145,15 +144,15 @@ class TestShrinking:
 class TestSerialization:
     def test_options_round_trip(self):
         for config in default_patch_configs():
-            encoded = json.loads(json.dumps(options_to_dict(config.options)))
-            assert options_from_dict(encoded) == config.options
+            encoded = json.loads(json.dumps(config.options.to_dict()))
+            assert RewriteOptions.from_dict(encoded) == config.options
 
     def test_options_round_trip_nondefaults(self):
         options = RewriteOptions(
             mode="loader", granularity=16, grouping=False,
             toggles=TacticToggles(t2=False, b0_fallback=True),
             reserve_extra=((0x1000, 0x2000),))
-        assert options_from_dict(options_to_dict(options)) == options
+        assert RewriteOptions.from_dict(options.to_dict()) == options
 
     def test_patch_config_round_trip(self):
         for config in default_patch_configs():

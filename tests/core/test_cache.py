@@ -1,17 +1,17 @@
-"""ArtifactCache: round trips, corruption handling, LRU eviction."""
+"""ArtifactStore: round trips, corruption handling, LRU eviction."""
 
 import os
 
 from repro.core.cache import (
     CACHE_DIR_ENV,
-    ArtifactCache,
+    ArtifactStore,
     default_cache_dir,
-    toolchain_fingerprint,
+    compute_toolchain_fingerprint,
 )
 
 
 def test_round_trip(tmp_path):
-    cache = ArtifactCache(tmp_path)
+    cache = ArtifactStore(tmp_path)
     key = cache.decode_key(b"\x90\x90", "linear")
     assert cache.get("decode", key) is None  # cold
     cache.put("decode", key, ["insn-a", "insn-b"])
@@ -22,7 +22,7 @@ def test_round_trip(tmp_path):
 
 
 def test_keys_cover_inputs():
-    cache = ArtifactCache("/nonexistent-unused")
+    cache = ArtifactStore("/nonexistent-unused")
     base = cache.decode_key(b"aaaa", "linear")
     assert base != cache.decode_key(b"aaab", "linear")  # input bytes
     assert base != cache.decode_key(b"aaaa", "symbols")  # frontend
@@ -32,8 +32,8 @@ def test_keys_cover_inputs():
 
 
 def test_fingerprint_is_stable_hex():
-    fp = toolchain_fingerprint()
-    assert fp == toolchain_fingerprint()
+    fp = compute_toolchain_fingerprint()
+    assert fp == compute_toolchain_fingerprint()
     assert len(fp) == 64
     int(fp, 16)
 
@@ -44,7 +44,7 @@ def test_default_dir_env_override(monkeypatch, tmp_path):
 
 
 def test_corrupted_entry_is_a_miss_and_deleted(tmp_path):
-    cache = ArtifactCache(tmp_path)
+    cache = ArtifactStore(tmp_path)
     key = cache.decode_key(b"data", "linear")
     cache.put("decode", key, [1, 2, 3])
     path = cache._path("decode", key)
@@ -58,7 +58,7 @@ def test_corrupted_entry_is_a_miss_and_deleted(tmp_path):
 
 
 def test_truncated_entry_is_a_miss(tmp_path):
-    cache = ArtifactCache(tmp_path)
+    cache = ArtifactStore(tmp_path)
     key = cache.decode_key(b"data", "linear")
     cache.put("decode", key, list(range(1000)))
     path = cache._path("decode", key)
@@ -69,7 +69,7 @@ def test_truncated_entry_is_a_miss(tmp_path):
 
 def test_lru_eviction_drops_oldest(tmp_path):
     payload = b"x" * 1000
-    cache = ArtifactCache(tmp_path, max_bytes=2500)
+    cache = ArtifactStore(tmp_path, max_bytes=2500)
     cache.put("decode", "aa" * 32, payload)
     cache.put("decode", "bb" * 32, payload)
     # Make recency unambiguous regardless of filesystem timestamp
@@ -86,7 +86,7 @@ def test_lru_eviction_drops_oldest(tmp_path):
 
 
 def test_get_refreshes_recency(tmp_path):
-    cache = ArtifactCache(tmp_path, max_bytes=2500)
+    cache = ArtifactStore(tmp_path, max_bytes=2500)
     payload = b"x" * 1000
     cache.put("decode", "aa" * 32, payload)
     cache.put("decode", "bb" * 32, payload)
@@ -113,7 +113,7 @@ class TestCacheConfig:
         assert config.max_bytes == 7 * 1024 * 1024
         # Later environment changes cannot move a live store.
         monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path / "b"))
-        store = ArtifactCache(config=config)
+        store = ArtifactStore(config=config)
         assert store.root == tmp_path / "a"
 
     def test_arguments_beat_env(self, monkeypatch, tmp_path):
@@ -153,7 +153,7 @@ class TestConcurrency:
 
         monkeypatch.setattr(cache_mod, "compute_toolchain_fingerprint",
                             slow_fingerprint)
-        store = ArtifactCache(tmp_path)
+        store = ArtifactStore(tmp_path)
         seen = []
 
         def worker():
@@ -171,7 +171,7 @@ class TestConcurrency:
     def test_concurrent_puts_same_key_are_serialized(self, tmp_path):
         import threading
 
-        store = ArtifactCache(tmp_path)
+        store = ArtifactStore(tmp_path)
         key = "ab" * 32
         barrier = threading.Barrier(6)
 
@@ -195,7 +195,7 @@ class TestConcurrency:
     def test_concurrent_mixed_traffic_is_safe(self, tmp_path):
         import threading
 
-        store = ArtifactCache(tmp_path)
+        store = ArtifactStore(tmp_path)
         keys = [f"{i:02x}" * 32 for i in range(16)]
         errors = []
 
@@ -221,7 +221,7 @@ class TestConcurrency:
             assert store.get("match", key) is not None
 
     def test_latency_counters_accumulate(self, tmp_path):
-        store = ArtifactCache(tmp_path)
+        store = ArtifactStore(tmp_path)
         key = store.decode_key(b"\x90", "linear")
         store.put("decode", key, [1])
         store.get("decode", key)
@@ -233,7 +233,7 @@ class TestConcurrency:
         from repro.core.observe import Observer
 
         observer = Observer()
-        store = ArtifactCache(tmp_path, observer=observer)
+        store = ArtifactStore(tmp_path, observer=observer)
         key = store.decode_key(b"\x90", "linear")
         store.get("decode", key)  # miss
         store.put("decode", key, [1])

@@ -8,7 +8,7 @@ from repro.core.trampoline import Counter, Empty
 from repro.elf import constants as elfc
 from repro.elf.builder import TinyProgram, hello_world
 from repro.elf.reader import ElfFile
-from repro.errors import PatchError
+from repro.errors import OptionsError, PatchError
 from repro.frontend.lineardisasm import disassemble_text
 from repro.frontend.matchers import match_jumps
 from repro.vm.machine import run_elf
@@ -61,10 +61,6 @@ class TestModes:
         patched = run_elf(result.data)
         assert patched.observable == orig.observable
         assert patched.instructions > orig.instructions  # trampolines ran
-
-    def test_auto_mode_resolution(self):
-        assert RewriteOptions(mode="auto", grouping=True).resolve_mode() == "loader"
-        assert RewriteOptions(mode="auto", grouping=False).resolve_mode() == "phdr"
 
     def test_phdr_mode_output_is_valid_elf(self):
         data = looping_program()
@@ -154,9 +150,9 @@ class TestRuntimeCode:
 
 class TestErrorPaths:
     def test_unknown_emission_mode_rejected(self):
-        data = looping_program()
-        with pytest.raises(PatchError, match="unknown emission mode"):
-            rewrite(data, RewriteOptions(mode="bogus"))
+        # Rejected at construction, before any planning work.
+        with pytest.raises(OptionsError, match="mode"):
+            RewriteOptions(mode="bogus")
 
     def test_phdr_segment_overflow_rejected(self):
         data = looping_program()

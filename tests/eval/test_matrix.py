@@ -169,6 +169,8 @@ class TestRunCell:
             max_sites=64, oracle=False, repeats=1,
         )
         assert so_cell.ok
+        output_sha256 = so_cell.meta.pop("output_sha256")
+        assert len(output_sha256) == 64
         assert so_cell.meta == {"elf_type": "ET_DYN", "cet": True,
                                 "cet_note": True}
         payload = so_cell.to_dict()

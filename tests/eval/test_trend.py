@@ -86,8 +86,10 @@ def matrix(cells):
     return {"schema": "repro-matrix/1", "suite": "pr", "cells": cells}
 
 
-def cell(metrics, verdict="ok", error=None):
-    return {"verdict": verdict, "error": error, "metrics": metrics}
+def cell(metrics, verdict="ok", error=None, output_sha256=None):
+    meta = {"output_sha256": output_sha256} if output_sha256 else {}
+    return {"verdict": verdict, "error": error, "metrics": metrics,
+            "meta": meta}
 
 
 class TestCompare:
@@ -140,6 +142,24 @@ class TestCompare:
         assert trend_cell.failed == "divergent: boom"
         assert report.failed_cells
 
+    def test_changed_output_hash_is_reported(self):
+        base = matrix({
+            "a/full-jumps/serial": cell({}, output_sha256="aa" * 32),
+            "b/full-jumps/serial": cell({}, output_sha256="bb" * 32),
+            "c/full-jumps/serial": cell({}),
+        })
+        cur = matrix({
+            "a/full-jumps/serial": cell({}, output_sha256="aa" * 32),
+            "b/full-jumps/serial": cell({}, output_sha256="cc" * 32),
+            "c/full-jumps/serial": cell({}, output_sha256="dd" * 32),
+        })
+        report = compare(cur, base)
+        assert [c.cell_id for c in report.changed_outputs] == [
+            "b/full-jumps/serial"]
+        assert report.changed_outputs[0].output_changed == (
+            f"{'bb' * 6} -> {'cc' * 6}")
+        assert "output changed" in render_markdown(report)
+
     def test_counts(self):
         base = matrix({"a/full-jumps/serial": cell({"rewrite_s": 1.0})})
         cur = matrix({
@@ -190,6 +210,14 @@ class TestMainExitCodes:
         assert self.run(base_path, tmp_path,
                         {"b/full-jumps/serial": cell({"rewrite_s": 1.0})},
                         "--strict") == 1
+
+    def test_changed_output_needs_strict(self, tmp_path):
+        base_path = tmp_path / "baseline.json"
+        write_matrix(base_path, {"a/full-jumps/serial":
+                                 cell({}, output_sha256="aa" * 32)})
+        changed = {"a/full-jumps/serial": cell({}, output_sha256="bb" * 32)}
+        assert self.run(base_path, tmp_path, changed) == 0
+        assert self.run(base_path, tmp_path, changed, "--strict") == 1
 
     def test_failed_cell_exits_nonzero(self, base_path, tmp_path):
         rc = self.run(base_path, tmp_path,

@@ -2,7 +2,7 @@
 
 import json
 
-from repro.core.cache import ArtifactCache
+from repro.core.cache import ArtifactStore
 from repro.core.observe import Observer
 from repro.core.rewriter import RewriteOptions
 from repro.core.strategy import TacticToggles
@@ -88,7 +88,7 @@ class TestParallelDeterminism:
 class TestCacheRoundTrip:
     def test_warm_run_does_zero_decode_work(self, tmp_path):
         data = make_binary()
-        cold_cache = ArtifactCache(tmp_path)
+        cold_cache = ArtifactStore(tmp_path)
         cold_obs = Observer()
         cold = rewrite_many(data, [RewriteOptions(mode="loader")],
                             matcher="jumps", observer=cold_obs,
@@ -96,7 +96,7 @@ class TestCacheRoundTrip:
         assert cold_obs.runs("decode") == 1
         assert cold_cache.stats.stores >= 2  # decode + match artifacts
 
-        warm_cache = ArtifactCache(tmp_path)
+        warm_cache = ArtifactStore(tmp_path)
         warm_obs = Observer()
         warm = rewrite_many(data, [RewriteOptions(mode="loader")],
                             matcher="jumps", observer=warm_obs,
@@ -111,13 +111,13 @@ class TestCacheRoundTrip:
         data = make_binary()
         reference = rewrite_many(data, [RewriteOptions(mode="loader")],
                                  matcher="jumps")[0]
-        cache = ArtifactCache(tmp_path)
+        cache = ArtifactStore(tmp_path)
         rewrite_many(data, [RewriteOptions(mode="loader")],
                      matcher="jumps", cache=cache)
         for entry in tmp_path.rglob("*.pkl"):
             entry.write_bytes(b"\x80garbage")
 
-        retry_cache = ArtifactCache(tmp_path)
+        retry_cache = ArtifactStore(tmp_path)
         report = rewrite_many(data, [RewriteOptions(mode="loader")],
                               matcher="jumps", cache=retry_cache)[0]
         assert report.result.data == reference.result.data
@@ -127,7 +127,7 @@ class TestCacheRoundTrip:
         import repro.core.cache as cache_mod
 
         data = make_binary()
-        cache = ArtifactCache(tmp_path)
+        cache = ArtifactStore(tmp_path)
         rewrite_many(data, [RewriteOptions(mode="loader")],
                      matcher="jumps", cache=cache)
 
@@ -138,12 +138,12 @@ class TestCacheRoundTrip:
         stale_obs = Observer()
         rewrite_many(data, [RewriteOptions(mode="loader")],
                      matcher="jumps", observer=stale_obs,
-                     cache=ArtifactCache(tmp_path))
+                     cache=ArtifactStore(tmp_path))
         assert stale_obs.runs("decode") == 1  # re-decoded from scratch
 
     def test_output_cache_skips_planning(self, tmp_path):
         data = make_binary()
-        cache = ArtifactCache(tmp_path)
+        cache = ArtifactStore(tmp_path)
         cold = rewrite_many(data, [RewriteOptions(mode="loader")],
                             matcher="jumps", cache=cache,
                             cache_outputs=True)[0]
@@ -151,7 +151,7 @@ class TestCacheRoundTrip:
         warm_obs = Observer()
         warm = rewrite_many(data, [RewriteOptions(mode="loader")],
                             matcher="jumps", observer=warm_obs,
-                            cache=ArtifactCache(tmp_path),
+                            cache=ArtifactStore(tmp_path),
                             cache_outputs=True)[0]
         assert warm_obs.runs("plan") == 0
         assert warm.result.data == cold.result.data
@@ -159,11 +159,11 @@ class TestCacheRoundTrip:
 
     def test_prepare_binary_cache_hit(self, tmp_path):
         data = make_binary()
-        cache = ArtifactCache(tmp_path)
+        cache = ArtifactStore(tmp_path)
         cold = prepare_binary(data, cache=cache)
 
         obs = Observer()
-        warm = prepare_binary(data, observer=obs, cache=ArtifactCache(tmp_path))
+        warm = prepare_binary(data, observer=obs, cache=ArtifactStore(tmp_path))
         assert obs.runs("decode") == 0
         assert len(warm.instructions) == len(cold.instructions)
 

@@ -10,7 +10,7 @@ from repro.core.cache import ArtifactStore, CacheConfig
 from repro.core.observe import Observer
 from repro.core.parallel import ExecutorConfig
 from repro.core.rewriter import RewriteOptions
-from repro.frontend.engine import EngineConfig, RewriteEngine, options_from_dict
+from repro.frontend.engine import EngineConfig, RewriteEngine
 from repro.frontend.tool import instrument_elf
 
 from tests.service.conftest import make_binary
@@ -101,12 +101,8 @@ class TestReentrancy:
 
 
 class TestOptionsFromDict:
-    def test_defaults(self):
-        options = options_from_dict({})
-        assert options == RewriteOptions()
-
     def test_full_round_trip(self):
-        options = options_from_dict({
+        options = RewriteOptions.from_dict({
             "mode": "loader", "grouping": False, "granularity": 4,
             "t3": False, "verify": True,
         })
@@ -115,15 +111,4 @@ class TestOptionsFromDict:
         assert options.granularity == 4
         assert options.toggles.t3 is False
         assert options.verify is True
-
-    def test_unknown_key_rejected(self):
-        import pytest
-
-        with pytest.raises(ValueError, match="granularty"):
-            options_from_dict({"granularty": 2})
-
-    def test_bad_mode_rejected(self):
-        import pytest
-
-        with pytest.raises(ValueError, match="mode"):
-            options_from_dict({"mode": "turbo"})
+        assert RewriteOptions.from_dict(options.to_dict()) == options
