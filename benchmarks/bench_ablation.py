@@ -19,7 +19,7 @@ import pytest
 
 from benchmarks.conftest import save_artifact
 from repro.core.grouping import DEFAULT_MAX_MAP_COUNT
-from repro.core.rewriter import RewriteOptions
+from repro.core.pipeline import RewriteOptions
 from repro.eval.ablation import (
     b0_slowdown,
     coverage_without_t3,

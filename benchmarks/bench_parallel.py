@@ -23,7 +23,7 @@ import tempfile
 import time
 
 from repro.core.cache import ArtifactStore
-from repro.core.rewriter import RewriteOptions
+from repro.core.pipeline import RewriteOptions
 from repro.core.strategy import TacticToggles
 from repro.frontend.tool import rewrite_many
 from repro.synth.generator import SynthesisParams, synthesize

@@ -8,7 +8,7 @@ than a one-shot table job).
 
 import pytest
 
-from repro.core.rewriter import RewriteOptions
+from repro.core.pipeline import RewriteOptions
 from repro.frontend.tool import instrument_elf
 from repro.synth.generator import SynthesisParams, synthesize
 

@@ -42,7 +42,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 from repro.core.cache import CacheConfig
 from repro.core.parallel import ExecutorConfig
-from repro.core.rewriter import RewriteOptions
+from repro.core.pipeline import RewriteOptions
 from repro.frontend.tool import instrument_elf
 from repro.service import RewriteService, ServiceClient, ServiceConfig
 from repro.service.metrics import percentile

@@ -8,7 +8,7 @@ knowledge), and runs original + patched side by side in the bundled VM.
 Run:  python3 examples/quickstart.py
 """
 
-from repro.core.rewriter import Rewriter
+from repro.core.pipeline import RewriteContext
 from repro.core.strategy import PatchRequest
 from repro.core.trampoline import Counter
 from repro.elf import constants as elfc
@@ -58,10 +58,10 @@ def main() -> None:
     for insn in sites:
         print(f"  {insn}")
 
-    # 2. Rewriter: counter instrumentation at every site.
-    rewriter = Rewriter(elf, instructions)
-    counter_vaddr = rewriter.add_runtime_data(4096)
-    result = rewriter.rewrite(
+    # 2. Rewrite: counter instrumentation at every site.
+    ctx = RewriteContext(elf, instructions=instructions)
+    counter_vaddr = ctx.add_runtime_data(4096)
+    result = ctx.rewrite(
         [PatchRequest(insn=i, instrumentation=Counter(counter_vaddr))
          for i in sites]
     )

@@ -17,11 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.observe import Observer
-from repro.core.pipeline import MatchPass
-from repro.core.rewriter import RewriteOptions, RewriteResult, Rewriter
+from repro.core.pipeline import MatchPass, RewriteContext, RewriteOptions, RewriteResult
 from repro.core.strategy import PatchRequest
 from repro.core.trampoline import Counter
-from repro.frontend.matchers import MATCHERS, Matcher
+from repro.frontend.matchers import Matcher, resolve_matcher
 from repro.frontend.tool import prepare_binary
 from repro.vm.machine import Machine
 
@@ -38,16 +37,16 @@ class CoverageInstrumenter:
     observer: Observer | None = None
 
     def instrument(self, data: bytes) -> "InstrumentedBinary":
-        matcher = (MATCHERS[self.matcher]
-                   if isinstance(self.matcher, str) else self.matcher)
         base = prepare_binary(data, observer=self.observer)
-        MatchPass(matcher).run(base)
+        MatchPass(resolve_matcher(self.matcher)).run(base)
         sites = base.sites
 
-        rewriter = Rewriter(base.elf, base.instructions, self.options,
-                            observer=base.observer)
+        ctx = RewriteContext(base.elf, self.options, observer=base.observer,
+                             instructions=base.instructions)
         map_bytes = max(PAGE, -(-len(sites) * SLOT_SIZE // PAGE) * PAGE)
-        map_vaddr = rewriter.add_runtime_data(map_bytes)
+        map_vaddr = ctx.add_runtime_data(map_bytes)
+        # ET_DYN images relocate at load time: rip-relative increments.
+        pic = base.elf.is_pie
 
         requests = []
         slots: dict[int, int] = {}
@@ -55,9 +54,10 @@ class CoverageInstrumenter:
             slot_vaddr = map_vaddr + index * SLOT_SIZE
             slots[insn.address] = slot_vaddr
             requests.append(
-                PatchRequest(insn=insn, instrumentation=Counter(slot_vaddr))
+                PatchRequest(insn=insn,
+                             instrumentation=Counter(slot_vaddr, pic=pic))
             )
-        result = rewriter.rewrite(requests)
+        result = ctx.rewrite(requests)
         return InstrumentedBinary(
             result=result, map_vaddr=map_vaddr, slots=slots
         )
@@ -69,7 +69,7 @@ class InstrumentedBinary:
 
     result: RewriteResult
     map_vaddr: int
-    slots: dict[int, int]  # site vaddr -> counter slot vaddr
+    slots: dict[int, int]  # site vaddr -> counter slot link-time vaddr
 
     @property
     def data(self) -> bytes:
@@ -80,7 +80,7 @@ class InstrumentedBinary:
         machine = Machine(self.data, **machine_kwargs)
         run = machine.run()
         counts = {
-            site: machine.mem.read_u64(slot)
+            site: machine.mem.read_u64(machine.load_base + slot)
             for site, slot in self.slots.items()
         }
         return CoverageReport(run=run, counts=counts)

@@ -1,12 +1,14 @@
 """Core binary-rewriting engine: tactics, strategy, allocation, grouping.
 
-This is the reproduction of the paper's primary contribution.  The public
-entry point is :class:`repro.core.rewriter.Rewriter`, a facade over the
-staged pass pipeline in :mod:`repro.core.pipeline`; the individual
-pieces (pun math, tactics B1/B2/T1/T2/T3, reverse-order strategy S1,
-physical page grouping) live in their own modules and are unit-testable
-in isolation.  :mod:`repro.core.observe` provides per-pass wall-time,
-counters, and trace hooks.
+This is the reproduction of the paper's primary contribution.  A rewrite
+runs as staged passes over one
+:class:`~repro.core.pipeline.RewriteContext`, whose
+:meth:`~repro.core.pipeline.RewriteContext.rewrite` turns patch requests
+into a patched binary; the individual pieces (pun math, tactics
+B1/B2/T1/T2/T3, reverse-order strategy S1, physical page grouping) live
+in their own modules and are unit-testable in isolation.
+:mod:`repro.core.observe` provides per-pass wall-time, counters, and
+trace hooks.
 """
 
 from repro.core.observe import Observer, TraceHook
@@ -15,19 +17,16 @@ from repro.core.pipeline import (
     EmitPass,
     GroupPass,
     MatchPass,
-    Pass,
     PlanPass,
     RewriteContext,
+    RewriteOptions,
+    RewriteResult,
     VerifyPass,
-    run_pipeline,
-    standard_passes,
 )
-from repro.core.rewriter import Rewriter, RewriteOptions, RewriteResult
 from repro.core.stats import PatchStats
 from repro.core.tactics import Tactic
 
 __all__ = [
-    "Rewriter",
     "RewriteOptions",
     "RewriteResult",
     "RewriteContext",
@@ -35,13 +34,10 @@ __all__ = [
     "PatchStats",
     "Observer",
     "TraceHook",
-    "Pass",
     "DecodePass",
     "MatchPass",
     "PlanPass",
     "GroupPass",
     "EmitPass",
     "VerifyPass",
-    "run_pipeline",
-    "standard_passes",
 ]

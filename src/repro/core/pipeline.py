@@ -2,10 +2,10 @@
 
 The paper's rewriter is a fixed sequence — disassemble, match, strategy
 S1, physical page grouping, emission — and this module expresses it as
-exactly that: a list of :class:`Pass` objects run over one
+exactly that: :class:`PipelinePass` objects run over one
 :class:`RewriteContext` that owns every inter-stage hand-off as a typed
 field (instruction stream, matched sites, patch plan, grouping, emission
-artifacts).  The standard passes are
+artifacts).  The passes are
 
 * :class:`DecodePass`   — frontend disassembly (skipped when the context
   already carries an instruction stream, which is how the batch API
@@ -16,17 +16,20 @@ artifacts).  The standard passes are
   trampolines;
 * :class:`EmitPass`     — ELF emission (phdr or loader mode);
 * :class:`VerifyPass`   — optional: re-decode every patched site and
-  check its jump lands in a trampoline or back inside the image.
+  check its jump lands in a trampoline or back inside the image;
+* :class:`EquivalencePass` — optional: run input and output on the VM
+  and compare behaviour.
 
 Every pass runs under the context's :class:`~repro.core.observe.Observer`
-(wall-time, counters, trace hooks).  :class:`repro.core.rewriter.Rewriter`
-is a thin compatibility facade over this module.
+(wall-time, counters, trace hooks).  :meth:`RewriteContext.rewrite` is
+the one entry point from patch requests to a patched binary: it runs
+plan, group and emit, then the checks the options ask for.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from typing import Protocol, Sequence, runtime_checkable
+from typing import Sequence
 
 from repro.core.allocator import AddressSpace
 from repro.core.binary import CodeImage
@@ -214,7 +217,7 @@ class RewriteContext:
     """
 
     elf: ElfFile
-    options: RewriteOptions
+    options: RewriteOptions = field(default_factory=RewriteOptions)
     observer: Observer = field(default_factory=Observer)
 
     # -- decode/match products ------------------------------------------
@@ -345,6 +348,31 @@ class RewriteContext:
         self.meta_segments.append((vaddr, size))
         return vaddr
 
+    # -- the rewrite ------------------------------------------------------
+
+    def rewrite(self, requests: list[PatchRequest]) -> RewriteResult:
+        """Patch *requests* and return the emitted binary.
+
+        Runs plan, group and emit, then lint, verify and the equivalence
+        check as ``self.options`` asks, in that order.  Runtime code and
+        data (:meth:`add_runtime_code`, :meth:`add_runtime_data`) must be
+        registered first.
+        """
+        passes: list[PipelinePass] = [
+            PlanPass(requests), GroupPass(), EmitPass()]
+        if self.options.lint:
+            # Local import: the lint layer imports this module back.
+            from repro.analysis.lint import LintPass
+
+            passes.append(LintPass())
+        if self.options.verify:
+            passes.append(VerifyPass())
+        if self.options.check:
+            passes.append(EquivalencePass())
+        for p in passes:
+            p.run(self)
+        return self.result()
+
     def result(self) -> RewriteResult:
         """Bundle the context's products into a :class:`RewriteResult`."""
         if self.output is None or self.plan is None:
@@ -363,15 +391,6 @@ class RewriteContext:
             equivalence=self.equivalence,
             lint=self.lint,
         )
-
-
-@runtime_checkable
-class Pass(Protocol):
-    """One pipeline stage: reads and extends the shared context."""
-
-    name: str
-
-    def run(self, ctx: RewriteContext) -> None: ...
 
 
 class PipelinePass:
@@ -457,18 +476,13 @@ class PlanPass(PipelinePass):
 
     name = "plan"
 
-    def __init__(self, requests: list[PatchRequest] | None = None) -> None:
+    def __init__(self, requests: list[PatchRequest]) -> None:
         self.requests = requests
 
     def execute(self, ctx: RewriteContext) -> None:
         ctx.prepare_workspace()
-        requests = self.requests if self.requests is not None else ctx.requests
-        if requests is None:
-            raise PatchError(
-                "PlanPass needs patch requests (run MatchPass and build "
-                "requests, or set ctx.requests)"
-            )
-        ctx.requests = requests
+        # Recorded for EquivalencePass, which watches the requested sites.
+        requests = ctx.requests = self.requests
         if ctx.options.liveness:
             # Bind before any size query: the planner memoizes trampoline
             # sizes, so the slimmed encodings must be in force from the
@@ -813,36 +827,3 @@ class EquivalencePass(PipelinePass):
                 "equivalence check failed: "
                 f"{d.kind if d else '?'}: {d.detail if d else ''}"
             )
-
-
-def standard_passes(
-    matcher=None,
-    requests: list[PatchRequest] | None = None,
-    *,
-    frontend: str = "linear",
-    verify: bool = False,
-    check: bool = False,
-    lint: bool = False,
-) -> list[Pass]:
-    """The canonical pass sequence for one rewrite configuration."""
-    passes: list[Pass] = [DecodePass(frontend)]
-    if matcher is not None:
-        passes.append(MatchPass(matcher))
-    passes += [PlanPass(requests), GroupPass(), EmitPass()]
-    if lint:
-        # Local import: the lint layer imports this module back.
-        from repro.analysis.lint import LintPass
-
-        passes.append(LintPass())
-    if verify:
-        passes.append(VerifyPass())
-    if check:
-        passes.append(EquivalencePass())
-    return passes
-
-
-def run_pipeline(ctx: RewriteContext, passes: list[Pass]) -> RewriteContext:
-    """Run *passes* in order over *ctx* and return it."""
-    for p in passes:
-        p.run(ctx)
-    return ctx

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.rewriter import Rewriter
+from repro.core.pipeline import RewriteContext
 from repro.core.strategy import PatchRequest
 from repro.core.trampoline import Empty
 from repro.elf.reader import ElfFile
@@ -78,8 +78,7 @@ def _run_suite(suite: str, browser: str, seed: int) -> DromaeoResult:
     n_instrumented = int(len(sites) * coverage)
     sites = sites[:n_instrumented]
 
-    rewriter = Rewriter(elf, instructions)
-    result = rewriter.rewrite(
+    result = RewriteContext(elf, instructions=instructions).rewrite(
         [PatchRequest(insn=i, instrumentation=Empty()) for i in sites]
     )
     patched = run_elf(result.data)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.rewriter import RewriteOptions
+from repro.core.pipeline import RewriteOptions
 from repro.frontend.tool import RewriteConfig, rewrite_many
 from repro.lowfat import (
     LowFatAllocator,
@@ -55,8 +55,8 @@ def run_one(profile: BinaryProfile, *, jobs: int | None = None,
     binary = synthesize(params)
     orig = run_elf(binary.data)
 
-    def lowfat_factory(rewriter):
-        return lowfat_instrumentation(install_lowfat_heap(rewriter, layout))
+    def lowfat_factory(ctx):
+        return lowfat_instrumentation(install_lowfat_heap(ctx, layout))
 
     # One batch, one decode: empty-body and LowFat configurations.
     options = RewriteOptions()

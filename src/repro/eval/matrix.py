@@ -39,7 +39,7 @@ from pathlib import Path
 from repro.core.cache import CacheConfig
 from repro.core.observe import Observer
 from repro.core.parallel import ExecutorConfig
-from repro.core.rewriter import RewriteOptions
+from repro.core.pipeline import RewriteOptions
 from repro.core.strategy import TacticToggles
 from repro.errors import PatchError
 from repro.synth.generator import SynthesisParams, synthesize
@@ -124,7 +124,7 @@ PATCH_CONFIGS: dict[str, PatchConfigSpec] = {
     )
 }
 
-#: Rewriter-option axis.
+#: Rewrite-option axis.
 OPTION_COMBOS: dict[str, OptionCombo] = {
     combo.name: combo
     for combo in (

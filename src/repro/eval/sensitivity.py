@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.rewriter import RewriteOptions
+from repro.core.pipeline import RewriteOptions
 from repro.frontend.tool import rewrite_many
 from repro.synth.generator import SynthesisParams, synthesize
 from repro.synth.profiles import BinaryProfile

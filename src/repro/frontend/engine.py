@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from repro.core.cache import ArtifactStore, CacheConfig
 from repro.core.observe import Observer
 from repro.core.parallel import ExecutorConfig
-from repro.core.rewriter import RewriteOptions
+from repro.core.pipeline import RewriteOptions
 from repro.frontend.tool import InstrumentReport, RewriteConfig, rewrite_many
 
 __all__ = ["EngineConfig", "RewriteEngine"]

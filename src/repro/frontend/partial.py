@@ -59,8 +59,8 @@ def decode_window(elf: ElfFile, site_vaddr: int,
 
 def decode_windows(elf: ElfFile, sites: list[int]) -> list[Instruction]:
     """Union of the forward windows of several sites, deduplicated and
-    sorted — a drop-in for the ``instructions`` argument of
-    :class:`repro.core.rewriter.Rewriter`.
+    sorted — a drop-in for the ``instructions`` field of
+    :class:`repro.core.pipeline.RewriteContext`.
 
     Windows that disagree about instruction boundaries (a site placed
     mid-instruction of another window) raise: the caller's site list is
@@ -100,7 +100,7 @@ def patch_addresses(
     but driven by explicit addresses instead of a matcher — the paper's
     binary-patching use case.
     """
-    from repro.core.rewriter import Rewriter
+    from repro.core.pipeline import RewriteContext, RewriteOptions
     from repro.core.strategy import PatchRequest
     from repro.core.trampoline import Empty
 
@@ -110,9 +110,9 @@ def patch_addresses(
     missing = [s for s in sites if s not in index]
     if missing:
         raise PatchError(f"sites not decodable: {[hex(s) for s in missing]}")
-    rewriter = Rewriter(elf, instructions, options)
-    result = rewriter.rewrite(
+    ctx = RewriteContext(elf, options or RewriteOptions(),
+                         instructions=instructions)
+    return ctx.rewrite(
         [PatchRequest(insn=index[s], instrumentation=instrumentation or Empty())
          for s in sites]
     )
-    return result

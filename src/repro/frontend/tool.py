@@ -33,8 +33,8 @@ from repro.core.cache import ArtifactStore
 from repro.core.grouping import DEFAULT_MAX_MAP_COUNT
 from repro.core.observe import Observer, derive_throughput, stderr_trace_hook
 from repro.core.parallel import BatchExecutor, ExecutorConfig, is_picklable
-from repro.core.pipeline import EMISSION_MODES, DecodePass, MatchPass, RewriteContext
-from repro.core.rewriter import RewriteOptions, RewriteResult, Rewriter
+from repro.core.pipeline import (EMISSION_MODES, DecodePass, MatchPass, RewriteContext,
+                                 RewriteOptions, RewriteResult)
 from repro.core.strategy import PatchRequest, TacticToggles
 from repro.core.trampoline import Counter, Empty, Instrumentation
 from repro.elf.reader import ElfFile
@@ -117,21 +117,21 @@ class RewriteConfig:
 
 
 def _resolve_instrumentation(
-    rewriter: Rewriter, instrumentation
+    ctx: RewriteContext, instrumentation
 ) -> tuple[Instrumentation, int | None]:
     """Turn the user-facing instrumentation spec into a concrete body."""
     counter_vaddr: int | None = None
     if instrumentation is None or instrumentation == "empty":
         instrumentation = Empty()
     elif instrumentation == "counter":
-        counter_vaddr = rewriter.add_runtime_data(4096)
+        counter_vaddr = ctx.add_runtime_data(4096)
         # ET_DYN images (shared objects, PIE) relocate at load time, so
         # the counter access must be rip-relative, not movabs.
-        instrumentation = Counter(counter_vaddr, pic=rewriter.elf.is_pie)
+        instrumentation = Counter(counter_vaddr, pic=ctx.elf.is_pie)
     elif callable(instrumentation) and not isinstance(instrumentation,
                                                       Instrumentation):
-        # A factory receiving the rewriter (for runtime code/data setup).
-        instrumentation = instrumentation(rewriter)
+        # A factory receiving the context (for runtime code/data setup).
+        instrumentation = instrumentation(ctx)
     return instrumentation, counter_vaddr
 
 
@@ -159,11 +159,7 @@ def prepare_binary(
     resulting stream is byte-identical to the serial sweep.
     """
     observer = observer or Observer()
-    ctx = RewriteContext(
-        elf=ElfFile(data),
-        options=RewriteOptions(),
-        observer=observer,
-    )
+    ctx = RewriteContext(ElfFile(data), observer=observer)
     key = None
     if cache is not None:
         key = cache.decode_key(data, frontend)
@@ -276,12 +272,11 @@ def _rewrite_serial(
                 continue
             shared_observer.count("cache.output.misses")
 
-        rewriter = Rewriter(base.elf, base.instructions, options,
-                            observer=shared_observer)
-        body, counter_vaddr = _resolve_instrumentation(rewriter, body_spec)
-        requests = [PatchRequest(insn=i, instrumentation=body)
-                    for i in sites]
-        result = rewriter.rewrite(requests)
+        ctx = RewriteContext(base.elf, options, observer=shared_observer,
+                             instructions=base.instructions)
+        body, counter_vaddr = _resolve_instrumentation(ctx, body_spec)
+        result = ctx.rewrite([PatchRequest(insn=i, instrumentation=body)
+                              for i in sites])
         result.timings, result.counters = (
             shared_observer.since(run_snapshot))
         if output_key is not None:
@@ -681,12 +676,12 @@ def main(argv: list[str] | None = None) -> int:
         with open(args.template) as f:
             template = load_template(f.read())
 
-        def factory(rewriter):
+        def factory(ctx):
             bound = {}
             for item in args.template_arg:
                 name, _, value = item.partition("=")
                 if value == "alloc":
-                    bound[name] = rewriter.add_runtime_data(4096)
+                    bound[name] = ctx.add_runtime_data(4096)
                     if not args.json:
                         print(f"{name} at {bound[name]:#x}")
                 else:

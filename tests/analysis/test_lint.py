@@ -7,8 +7,7 @@ import pytest
 
 from repro.analysis.lint import LintError, lint_context
 from repro.check.campaign import _draw_params, synthesize
-from repro.core.pipeline import RewriteOptions
-from repro.core.rewriter import Rewriter
+from repro.core.pipeline import RewriteContext, RewriteOptions
 from repro.core.strategy import PatchRequest, TacticToggles
 from repro.core.tactics import Tactic
 from repro.core.trampoline import Empty
@@ -28,12 +27,11 @@ def rewrite_jumps(data: bytes, *, toggles: TacticToggles | None = None,
     elf = ElfFile(data)
     instructions = disassemble_text(elf)
     sites = [i for i in instructions if i.mnemonic.startswith("j")][:limit]
-    rw = Rewriter(elf, instructions,
-                  RewriteOptions(mode="loader",
-                                 toggles=toggles or TacticToggles()))
-    rw.rewrite([PatchRequest(insn=i, instrumentation=Empty())
-                for i in sites])
-    return rw.context
+    options = RewriteOptions(mode="loader", toggles=toggles or TacticToggles())
+    ctx = RewriteContext(elf, options, instructions=instructions)
+    ctx.rewrite([PatchRequest(insn=i, instrumentation=Empty())
+                 for i in sites])
+    return ctx
 
 
 def file_offset(ctx, vaddr: int) -> int:
@@ -150,10 +148,10 @@ class TestEndbrWarning:
         # cet=False forced: auto-detection would see the endbr64 and
         # refuse the patch outright (tests/analysis/test_cet.py covers
         # that); this test pins the non-CET warn-only path.
-        rw = Rewriter(elf, instructions,
-                      RewriteOptions(mode="loader", cet=False))
-        rw.rewrite([PatchRequest(insn=site, instrumentation=Empty())])
-        report = lint_context(rw.context)
+        ctx = RewriteContext(elf, RewriteOptions(mode="loader", cet=False),
+                             instructions=instructions)
+        ctx.rewrite([PatchRequest(insn=site, instrumentation=Empty())])
+        report = lint_context(ctx)
         assert report.ok  # warnings do not fail the gate
         assert any(f.check == "endbr" and f.severity == "warn"
                    for f in report.warnings)

@@ -2,6 +2,7 @@
 
 
 from repro.apps.coverage import CoverageInstrumenter
+from repro.frontend.tool import instrument_elf
 from repro.synth.generator import SynthesisParams, synthesize
 from repro.vm.machine import run_elf
 from tests.conftest import requires_native
@@ -81,3 +82,23 @@ class TestCoverage:
         report = instrumented.run_with_coverage()
         assert report.total_sites >= 1
         assert report.coverage_pct == 100.0  # all calls execute
+
+    def test_expression_matcher(self):
+        """A match expression resolves like it does for ``instrument_elf``."""
+        binary = workload()
+        expr = 'mnemonic == "jmp"'
+        instrumented = CoverageInstrumenter(matcher=expr).instrument(
+            binary.data)
+        assert len(instrumented.slots) == instrument_elf(
+            binary.data, expr).n_sites > 0
+        report = instrumented.run_with_coverage()
+        assert report.run.observable == run_elf(binary.data).observable
+
+    def test_pie_counts_independent_of_load_base(self):
+        binary = workload(pie=True)
+        instrumented = CoverageInstrumenter().instrument(binary.data)
+        at_zero = instrumented.run_with_coverage()
+        relocated = instrumented.run_with_coverage(load_base=0x555555554000)
+        assert relocated.run.exit_code == at_zero.run.exit_code == 0
+        assert relocated.counts == at_zero.counts
+        assert at_zero.covered_sites > 0

@@ -1,6 +1,7 @@
 """Execution tracing: order-preserving control-flow records."""
 
 from repro.apps.tracer import Tracer
+from repro.frontend.tool import instrument_elf
 from repro.synth.generator import SynthesisParams, synthesize
 from repro.vm.machine import run_elf
 from tests.conftest import requires_native
@@ -59,6 +60,17 @@ class TestTracer:
         trace = traced.run_with_trace()
         expected = [site_a, site_b] * 4
         assert trace.records == expected
+
+    def test_expression_matcher(self):
+        """A match expression resolves like it does for ``instrument_elf``."""
+        binary = workload()
+        expr = 'mnemonic == "jmp"'
+        trace = Tracer(matcher=expr).instrument(binary.data).run_with_trace()
+        assert trace.run.observable == run_elf(binary.data).observable
+        report = instrument_elf(binary.data, expr)
+        assert report.n_sites > 0
+        sites = {patch.site for patch in report.result.plan.patches}
+        assert trace.records and set(trace.records) <= sites
 
     def test_ring_buffer_wraps(self):
         binary = workload(loop_iters=12)

@@ -15,7 +15,7 @@ from repro.check import (
     shrink_params,
 )
 from repro.core.observe import Observer
-from repro.core.rewriter import RewriteOptions
+from repro.core.pipeline import RewriteOptions
 from repro.core.strategy import TacticToggles
 from repro.synth.generator import SynthesisParams
 

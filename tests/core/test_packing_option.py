@@ -1,6 +1,6 @@
 """The pack_allocations ablation knob."""
 
-from repro.core.rewriter import RewriteOptions
+from repro.core.pipeline import RewriteOptions
 from repro.frontend.tool import instrument_elf
 from repro.synth.generator import SynthesisParams, synthesize
 from repro.vm.machine import run_elf

@@ -1,5 +1,6 @@
 """Staged pipeline: context, passes, observability, and the batch API."""
 
+import itertools
 import json
 
 import pytest
@@ -7,16 +8,11 @@ import pytest
 from repro.core.observe import Observer
 from repro.core.pipeline import (
     DecodePass,
-    EmitPass,
-    GroupPass,
     MatchPass,
-    PlanPass,
     RewriteContext,
+    RewriteOptions,
     VerifyPass,
-    run_pipeline,
-    standard_passes,
 )
-from repro.core.rewriter import RewriteOptions, Rewriter
 from repro.core.strategy import PatchRequest, TacticToggles
 from repro.core.trampoline import Empty
 from repro.elf.reader import ElfFile
@@ -82,39 +78,49 @@ class TestObserver:
 
 
 class TestExplicitPipeline:
-    """Running the passes by hand matches the Rewriter facade."""
+    """Decoding and matching by hand, then ``RewriteContext.rewrite``."""
 
-    def test_standard_passes_match_facade(self):
+    def test_explicit_passes_match_instrument_elf(self):
         data = small_binary()
-        ctx = RewriteContext(elf=ElfFile(data),
-                             options=RewriteOptions(mode="loader"))
-        requests_built = []
+        ctx = RewriteContext(ElfFile(data))
 
         # Decode and match explicitly, then build requests between passes.
         DecodePass().run(ctx)
         MatchPass(match_jumps).run(ctx)
-        ctx.requests = [PatchRequest(insn=i, instrumentation=Empty())
-                        for i in ctx.sites]
-        run_pipeline(ctx, [PlanPass(), GroupPass(), EmitPass()])
-        result = ctx.result()
+        result = ctx.rewrite([PatchRequest(insn=i, instrumentation=Empty())
+                              for i in ctx.sites])
 
-        facade = instrument_elf(data, "jumps",
-                                options=RewriteOptions(mode="loader"))
-        assert result.data == facade.result.data
-        assert not requests_built  # silence lint: local list unused
+        assert result.data == instrument_elf(data, "jumps").result.data
 
-    def test_standard_passes_helper_names(self):
-        passes = standard_passes(match_jumps, verify=True)
-        assert [p.name for p in passes] == [
-            "decode", "match", "plan", "group", "emit", "verify"
-        ]
+    @pytest.mark.parametrize("lint,verify,check",
+                             list(itertools.product((False, True), repeat=3)))
+    def test_rewrite_runs_the_passes_the_options_ask_for(self, lint, verify,
+                                                         check):
+        data = small_binary(n_jump_sites=6)
+        started = []
 
-    def test_plan_pass_without_requests_rejected(self):
-        data = small_binary()
-        ctx = RewriteContext(elf=ElfFile(data), options=RewriteOptions())
-        DecodePass().run(ctx)
-        with pytest.raises(PatchError, match="PlanPass needs"):
-            PlanPass().run(ctx)
+        def record(event, payload):
+            if event == "pass:start":
+                started.append(payload["name"])
+
+        obs = Observer()
+        obs.add_hook(record)
+        ctx = RewriteContext(
+            ElfFile(data),
+            RewriteOptions(lint=lint, verify=verify, check=check),
+            observer=obs, instructions=prepare_binary(data).instructions)
+        ctx.rewrite([PatchRequest(insn=i, instrumentation=Empty())
+                     for i in ctx.instructions if match_jumps(i)])
+
+        expected = ["plan", "group", "emit"] + [
+            name for name, on in (("lint", lint), ("verify", verify),
+                                  ("check", check)) if on]
+        assert started == expected
+        for name in expected:
+            assert obs.runs(name) == 1
+        assert sorted(key for key in obs.counters
+                      if key.startswith("pass.")) == sorted(
+            f"pass.{name}.runs" for name in expected)
 
     def test_pass_counters_recorded(self):
         data = small_binary()
@@ -152,20 +158,14 @@ class TestVerifyPass:
 
     def test_verify_detects_clobbered_site(self):
         data = small_binary()
-        elf = ElfFile(data)
-        rw = Rewriter(elf, __import__("repro.frontend.lineardisasm",
-                                      fromlist=["disassemble_text"])
-                      .disassemble_text(elf),
-                      RewriteOptions(mode="loader"))
-        sites = [i for i in rw.instructions if match_jumps(i)]
-        plan = rw.plan([PatchRequest(insn=i, instrumentation=Empty())
-                        for i in sites])
-        rw.emit(plan)
+        ctx = prepare_binary(data)
+        result = ctx.rewrite([PatchRequest(insn=i, instrumentation=Empty())
+                              for i in ctx.instructions if match_jumps(i)])
         # Corrupt one patched site after the fact: verification must notice.
-        site = plan.patches[0].site
-        rw.image.write_unchecked(site, b"\x90" * 2)
+        site = result.plan.patches[0].site
+        ctx.image.write_unchecked(site, b"\x90" * 2)
         with pytest.raises(PatchError, match="verify"):
-            VerifyPass().run(rw.context)
+            VerifyPass().run(ctx)
 
 
 class TestBatchApi:

@@ -1,6 +1,6 @@
 """The loader stub's failure diagnostics, exercised in the VM."""
 
-from repro.core.rewriter import RewriteOptions, Rewriter
+from repro.core.pipeline import RewriteContext, RewriteOptions
 from repro.core.strategy import PatchRequest
 from repro.core.trampoline import Empty
 from repro.elf.builder import hello_world
@@ -18,9 +18,9 @@ class TestFailPath:
         data = hello_world(b"never printed\n")
         elf = ElfFile(data)
         instructions = disassemble_text(elf)
-        rw = Rewriter(elf, instructions,
-                      RewriteOptions(mode="loader"))
-        result = rw.rewrite(
+        ctx = RewriteContext(elf, RewriteOptions(mode="loader"),
+                             instructions=instructions)
+        result = ctx.rewrite(
             [PatchRequest(insn=instructions[0], instrumentation=Empty())])
 
         # Corrupt the embedded path: replace "/proc/self/exe" with a
@@ -35,8 +35,9 @@ class TestFailPath:
         data = hello_world(b"yes\n")
         elf = ElfFile(data)
         instructions = disassemble_text(elf)
-        rw = Rewriter(elf, instructions, RewriteOptions(mode="loader"))
-        result = rw.rewrite(
+        ctx = RewriteContext(elf, RewriteOptions(mode="loader"),
+                             instructions=instructions)
+        result = ctx.rewrite(
             [PatchRequest(insn=instructions[0], instrumentation=Empty())])
         run = run_elf(result.data)
         assert run.exit_code == 0

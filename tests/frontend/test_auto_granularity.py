@@ -1,7 +1,7 @@
 """Auto-tuned page-grouping granularity (Section 4's mapping-limit
 trade-off)."""
 
-from repro.core.rewriter import RewriteOptions
+from repro.core.pipeline import RewriteOptions
 from repro.frontend.tool import instrument_elf, instrument_elf_auto
 from repro.synth.generator import SynthesisParams, synthesize
 from repro.vm.machine import run_elf

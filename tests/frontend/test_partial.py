@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.rewriter import RewriteOptions
+from repro.core.pipeline import RewriteOptions
 from repro.elf.reader import ElfFile
 from repro.errors import PatchError
 from repro.frontend.lineardisasm import disassemble_text

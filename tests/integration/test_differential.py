@@ -11,7 +11,7 @@ rewriter introduced.
 
 import pytest
 
-from repro.core.rewriter import RewriteOptions
+from repro.core.pipeline import RewriteOptions
 from repro.core.strategy import TacticToggles
 from repro.frontend.tool import instrument_elf
 from repro.synth.generator import SynthesisParams, synthesize

@@ -8,7 +8,7 @@ instruction following the call — with no control-flow knowledge, via a
 trampoline — and the program's observable bug disappears.
 """
 
-from repro.core.rewriter import RewriteOptions, Rewriter
+from repro.core.pipeline import RewriteContext, RewriteOptions
 from repro.core.strategy import PatchRequest
 from repro.core.trampoline import Instrumentation
 from repro.elf import constants as elfc
@@ -80,8 +80,9 @@ class TestCvePatch:
         site = next(i for i in insns if i.address == site_vaddr)
         assert site.raw == b"\x89\xdd"  # the CVE's exact instruction
         flag_vaddr = elf.section(".data").vaddr
-        rw = Rewriter(elf, insns, RewriteOptions(mode="loader"))
-        result = rw.rewrite(
+        ctx = RewriteContext(elf, RewriteOptions(mode="loader"),
+                             instructions=insns)
+        result = ctx.rewrite(
             [PatchRequest(insn=site, instrumentation=SetFlag(flag_vaddr))]
         )
         assert result.stats.success_pct == 100.0
@@ -95,8 +96,9 @@ class TestCvePatch:
         insns = disassemble_text(elf)
         site = next(i for i in insns if i.address == site_vaddr)
         flag_vaddr = elf.section(".data").vaddr
-        rw = Rewriter(elf, insns, RewriteOptions(mode="loader"))
-        result = rw.rewrite(
+        ctx = RewriteContext(elf, RewriteOptions(mode="loader"),
+                             instructions=insns)
+        result = ctx.rewrite(
             [PatchRequest(insn=site, instrumentation=SetFlag(flag_vaddr))]
         )
         assert run_native(result.data)[0] == 0
@@ -109,9 +111,10 @@ class TestCvePatch:
         insns = disassemble_text(elf)
         site = next(i for i in insns if i.address == site_vaddr)
         flag_vaddr = elf.section(".data").vaddr
-        rw = Rewriter(elf, insns, RewriteOptions(mode="loader"))
-        rw.rewrite([PatchRequest(insn=site, instrumentation=SetFlag(flag_vaddr))])
-        dirty = rw.image.dirty_patches()
+        ctx = RewriteContext(elf, RewriteOptions(mode="loader"),
+                             instructions=insns)
+        ctx.rewrite([PatchRequest(insn=site, instrumentation=SetFlag(flag_vaddr))])
+        dirty = ctx.image.dirty_patches()
         text = elf.section(".text")
         total_changed = sum(len(d) for _, d in dirty)
         assert total_changed <= 16  # a couple of jumps at most

@@ -9,7 +9,7 @@ from concurrent.futures import ThreadPoolExecutor
 from repro.core.cache import ArtifactStore, CacheConfig
 from repro.core.observe import Observer
 from repro.core.parallel import ExecutorConfig
-from repro.core.rewriter import RewriteOptions
+from repro.core.pipeline import RewriteOptions
 from repro.frontend.engine import EngineConfig, RewriteEngine
 from repro.frontend.tool import instrument_elf
 

@@ -1,6 +1,16 @@
 """The README's advertised top-level API must work as documented."""
 
+import os
+import pathlib
+import re
+import subprocess
+
+import pytest
+
 import repro
+from tests.conftest import requires_native
+
+ROOT = pathlib.Path(__file__).parent.parent
 
 
 class TestPublicApi:
@@ -8,30 +18,25 @@ class TestPublicApi:
         for name in repro.__all__:
             assert hasattr(repro, name), name
 
-    def test_readme_quickstart_flow(self):
-        """The exact flow the README shows, on a synthetic binary."""
-        from repro.synth.generator import SynthesisParams, synthesize
+    @requires_native
+    @pytest.mark.skipif(not os.path.exists("/bin/ls"),
+                        reason="needs /bin/ls")
+    def test_readme_quickstart_flow(self, tmp_path, monkeypatch):
+        """The README's quickstart block, run verbatim: its ``ls.patched``
+        must list ``/`` exactly like ``/bin/ls`` does."""
+        readme = (ROOT / "README.md").read_text()
+        section = readme.split("## Quickstart", 1)[1]
+        code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+        monkeypatch.chdir(tmp_path)
+        exec(compile(code, "README.md", "exec"), {})
 
-        binary = synthesize(SynthesisParams(
-            n_jump_sites=10, n_write_sites=5, seed=31337, loop_iters=1))
-
-        elf = repro.ElfFile(binary.data)
-        instructions = repro.disassemble_text(elf)
-        from repro.frontend.matchers import match_jumps
-
-        sites = [i for i in instructions if match_jumps(i)]
-        rw = repro.Rewriter(elf, instructions,
-                            repro.RewriteOptions(mode="loader"))
-        counter = rw.add_runtime_data(4096)
-        result = rw.rewrite(
-            [repro.PatchRequest(insn=i,
-                                instrumentation=repro.Counter(counter))
-             for i in sites])
-        assert result.stats.success_pct == 100.0
-
-        machine = repro.Machine(result.data)
-        run = machine.run()
-        assert run.observable == repro.run_elf(binary.data).observable
+        patched = tmp_path / "ls.patched"
+        patched.chmod(0o755)
+        got = subprocess.run([str(patched), "/"], capture_output=True,
+                             timeout=60)
+        want = subprocess.run(["/bin/ls", "/"], capture_output=True,
+                              timeout=60)
+        assert (got.returncode, got.stdout) == (want.returncode, want.stdout)
 
     def test_version(self):
         assert repro.__version__

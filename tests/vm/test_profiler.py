@@ -1,6 +1,6 @@
 """Dynamic profiling over the VM."""
 
-from repro.core.rewriter import RewriteOptions
+from repro.core.pipeline import RewriteOptions
 from repro.frontend.tool import instrument_elf
 from repro.synth.generator import SynthesisParams, synthesize
 from repro.vm.profiler import profile_elf
