@@ -2,18 +2,16 @@
 
 Rewriting the same binary twice should not decode it twice.  The store
 persists the expensive, deterministic intermediates of the pipeline —
-decoded instruction streams, matcher results, and (optionally) whole
-rewrite results — keyed by SHA-256 over everything that could change
-them:
+decoded instruction streams and matcher results — keyed by SHA-256 over
+everything that could change them:
 
 * the input bytes;
 * a *toolchain fingerprint* — a digest of the decoder/frontend source
   modules plus a schema version, so editing the decoder (or bumping
   :data:`SCHEMA_VERSION`) invalidates every stale entry without any
   manual cache management;
-* the frontend name, matcher spec, instrumentation spec, and the
-  :class:`~repro.core.pipeline.RewriteOptions` in play, as applicable
-  per artifact kind.
+* the frontend name (decode entries) and the matcher spec (match
+  entries).
 
 Entries live under ``~/.cache/repro`` (or ``$REPRO_CACHE_DIR``) as
 ``<kind>/<aa>/<key>.pkl`` files, written atomically (temp file +
@@ -36,9 +34,7 @@ many processes:
   entry with an advisory ``flock`` so concurrent writers of the same
   key do not duplicate work — the losing writer records a ``dedups``
   tick instead of rewriting the entry;
-* stats updates are guarded by a lock, and an optional
-  :class:`~repro.core.observe.Observer` receives live ``cache.*``
-  hit/miss/store/evict/latency counters for service metrics.
+* stats updates are guarded by a lock.
 """
 
 from __future__ import annotations
@@ -167,29 +163,24 @@ class ArtifactStore:
     """Size-capped, content-addressed, concurrency-safe pickle store.
 
     The generic surface is ``get(kind, key)`` / ``put(kind, key, value)``
-    plus the key builders (:meth:`decode_key`, :meth:`match_key`,
-    :meth:`output_key`).  Failures to read or write are swallowed by
-    design — a cache must only ever make runs faster, never break them.
+    plus the key builders (:meth:`decode_key`, :meth:`match_key`).
+    Failures to read or write are swallowed by design — a cache must
+    only ever make runs faster, never break them.
 
-    An optional *observer* receives every stat tick as live ``cache.*``
-    counters (``cache.hits``, ``cache.misses``, ``cache.stores``,
-    ``cache.evictions``, ``cache.errors``, ``cache.dedups``) plus
-    latency microsecond counters (``cache.get_us``/``cache.put_us``),
-    which is how the service daemon's ``/metrics`` endpoint surfaces
-    store traffic.
+    Traffic is tallied in :attr:`stats` (a :class:`CacheStats`) under a
+    lock, so one store can serve many threads; the service daemon's
+    ``/metrics`` endpoint reports ``stats.as_dict()``.
     """
 
     def __init__(self, root: str | os.PathLike | None = None,
                  max_bytes: int | None = None, *,
-                 config: CacheConfig | None = None,
-                 observer=None) -> None:
+                 config: CacheConfig | None = None) -> None:
         if config is None:
             config = CacheConfig.from_env(root, max_bytes)
         self.config = config
         self.root = config.root
         self.max_bytes = config.max_bytes
         self.stats = CacheStats()
-        self.observer = observer
         self._stats_lock = threading.Lock()
         self._evict_lock = threading.Lock()
         self._fingerprint: str | None = None
@@ -218,13 +209,6 @@ class ArtifactStore:
         with self._stats_lock:
             for name, delta in deltas.items():
                 setattr(self.stats, name, getattr(self.stats, name) + delta)
-            if self.observer is not None:
-                for name, delta in deltas.items():
-                    if name.endswith("_seconds"):
-                        self.observer.count(
-                            f"cache.{name[:-8]}_us", int(delta * 1e6))
-                    else:
-                        self.observer.count(f"cache.{name}", int(delta))
 
     # -- key construction ------------------------------------------------
 
@@ -251,16 +235,6 @@ class ArtifactStore:
         processes.
         """
         return self._digest("match", decode_key, matcher_spec)
-
-    def output_key(self, decode_key: str, matcher_spec: str,
-                   options, instrumentation_spec: str) -> str:
-        """Key for a full rewrite result.  ``repr(options)`` is the
-        options fingerprint — :class:`RewriteOptions` is a plain
-        dataclass, so its repr deterministically covers every field."""
-        return self._digest(
-            "output", decode_key, matcher_spec,
-            instrumentation_spec, repr(options),
-        )
 
     # -- per-entry locking -------------------------------------------------
 

@@ -7,7 +7,7 @@ spirit of "A Broad Comparative Evaluation of x86-64 Binary Rewriters"
 (PAPERS.md): every **cell** is one synthesis profile x one patch
 configuration x one rewriter-option combo (serial / parallel batch /
 artifact cache / ``--check``), run through the production
-:class:`~repro.frontend.engine.RewriteEngine` and
+:func:`~repro.frontend.tool.rewrite_many` and
 :class:`~repro.core.parallel.BatchExecutor` paths, and measured along
 the axes the comparative-evaluation literature cares about:
 
@@ -36,7 +36,7 @@ import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from repro.core.cache import CacheConfig
+from repro.core.cache import ArtifactStore, CacheConfig
 from repro.core.observe import Observer
 from repro.core.parallel import ExecutorConfig
 from repro.core.pipeline import RewriteOptions
@@ -384,14 +384,13 @@ def _measure_workload(
     """One timed workload measurement for *cell* (see :func:`run_cell`).
 
     The workload rewrite always goes through the production
-    :class:`RewriteEngine`; ``parallel`` combos fan a 4-configuration
-    batch out through :func:`~repro.frontend.tool.rewrite_many` with a
-    :class:`BatchExecutor`, and ``cached`` combos run cold-then-warm
-    through a throwaway :class:`~repro.core.cache.ArtifactStore`.
+    :func:`~repro.frontend.tool.rewrite_many`; ``parallel`` combos fan a
+    4-configuration batch out with a :class:`BatchExecutor`, and
+    ``cached`` combos run cold-then-warm through a throwaway
+    :class:`~repro.core.cache.ArtifactStore`.
     Raises :class:`PatchError` when the rewrite itself fails.
     """
-    from repro.frontend.engine import EngineConfig, RewriteEngine
-    from repro.frontend.tool import rewrite_many
+    from repro.frontend.tool import RewriteConfig, rewrite_many
 
     spec = cell.spec
     combo = cell.options
@@ -411,10 +410,8 @@ def _measure_workload(
         meta["cet_note"] = elf.has_ibt_note
 
     with tempfile.TemporaryDirectory(prefix="repro-matrix-") as tmp:
-        cache_config = CacheConfig(root=Path(tmp)) if combo.cache else None
-        engine = RewriteEngine(
-            EngineConfig(cache=cache_config, executor=ExecutorConfig(jobs=jobs))
-        )
+        store = ArtifactStore(config=CacheConfig(root=Path(tmp))) if combo.cache else None
+        executor = ExecutorConfig(jobs=jobs)
         observer = Observer()
         t0 = time.perf_counter()
         if combo.parallel:
@@ -424,36 +421,39 @@ def _measure_workload(
                 matcher=spec.matcher,
                 instrumentation=spec.instrumentation,
                 observer=observer,
-                jobs=engine.config.executor,
-                cache=engine.store,
+                jobs=executor,
+                cache=store,
             )
             metrics["batch_configs"] = len(reports)
-            metrics["jobs"] = engine.config.executor.jobs
+            metrics["jobs"] = executor.jobs
             report = reports[0]
         else:
-            report = engine.rewrite(
-                binary.data,
-                matcher=spec.matcher,
-                instrumentation=spec.instrumentation,
-                options=options,
-                observer=observer,
+            single = RewriteConfig(
+                matcher=spec.matcher, instrumentation=spec.instrumentation, options=options
             )
+            report = rewrite_many(
+                binary.data,
+                [single],
+                observer=observer,
+                jobs=executor,
+                cache=store,
+            )[0]
         metrics["rewrite_s"] = time.perf_counter() - t0
 
-        if combo.cache:
-            warm_observer = Observer()
+        if store is not None:
             t0 = time.perf_counter()
-            engine.rewrite(
+            rewrite_many(
                 binary.data,
-                matcher=spec.matcher,
-                options=options,
-                observer=warm_observer,
+                [RewriteConfig(matcher=spec.matcher, options=options)],
+                observer=Observer(),
+                jobs=executor,
+                cache=store,
             )
             warm_s = time.perf_counter() - t0
             metrics["warm_s"] = warm_s
             if warm_s > 0:
                 metrics["warm_speedup"] = round(metrics["rewrite_s"] / warm_s, 3)
-            metrics["cache_hits"] = engine.store.stats.hits
+            metrics["cache_hits"] = store.stats.hits
 
     if meta is not None:
         meta["output_sha256"] = hashlib.sha256(report.result.data).hexdigest()

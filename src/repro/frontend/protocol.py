@@ -47,6 +47,11 @@ class ProtocolError(ReproError):
     """Malformed or out-of-order protocol message."""
 
 
+def _is_int(value: Any) -> bool:
+    """A JSON integer (``true``/``false`` decode to bool, not int)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass
 class _PendingPatch:
     address: int
@@ -146,9 +151,11 @@ class E9PatchSession:
     def _do_instruction(self, params: dict[str, Any]) -> dict[str, Any]:
         self._require_binary()
         addresses = params.get("addresses")
-        if not isinstance(addresses, list):
-            raise ProtocolError("instruction needs 'addresses' (a list)")
-        self.declared_sites.extend(int(a) for a in addresses)
+        if not (isinstance(addresses, list)
+                and all(_is_int(a) for a in addresses)):
+            raise ProtocolError(
+                "instruction needs 'addresses' (a list of integers)")
+        self.declared_sites.extend(addresses)
         return {"declared": len(self.declared_sites)}
 
     def _do_patch(self, params: dict[str, Any]) -> dict[str, Any]:
@@ -160,8 +167,11 @@ class E9PatchSession:
         if name not in self.templates:
             raise ProtocolError(f"unknown trampoline {name!r}")
         args = params.get("args", {})
-        if not isinstance(args, dict):
-            raise ProtocolError("'args' must be an object")
+        if not (isinstance(args, dict)
+                and all(isinstance(v, str) or _is_int(v)
+                        for v in args.values())):
+            raise ProtocolError("'args' must map names to integers or "
+                                "reserved region names")
         self.patches.append(_PendingPatch(address, name, dict(args)))
         return {"queued": len(self.patches)}
 
@@ -171,7 +181,9 @@ class E9PatchSession:
         size = params.get("size", 4096)
         if not isinstance(name, str):
             raise ProtocolError("reserve needs a 'name'")
-        self.reservations.append((name, int(size)))
+        if not _is_int(size) or size <= 0:
+            raise ProtocolError("reserve 'size' must be a positive integer")
+        self.reservations.append((name, size))
         return {"name": name}
 
     def _do_emit(self, params: dict[str, Any]) -> dict[str, Any]:
@@ -195,10 +207,17 @@ class E9PatchSession:
                 raise PatchError(
                     f"no instruction at {pending.address:#x}")
             template = self.templates[pending.trampoline]
-            bound = {
-                key: reserved[value] if isinstance(value, str) else int(value)
-                for key, value in pending.args.items()
-            }
+            bound = {}
+            for key, value in pending.args.items():
+                if isinstance(value, str):
+                    # ``reserve`` may legally follow ``patch``, so a
+                    # region name is only resolved (and checked) here.
+                    if value not in reserved:
+                        raise ProtocolError(
+                            f"patch arg {key!r} names no reserved region "
+                            f"{value!r}")
+                    value = reserved[value]
+                bound[key] = value
             requests.append(PatchRequest(
                 insn=insn, instrumentation=template.instantiate(**bound)))
 

@@ -1,12 +1,14 @@
 """The e9tool analogue: one-call instrumentation of an ELF binary, a
 batch API over the staged pipeline, and a command-line interface.
 
-``instrument_elf`` runs the standard pass sequence (decode -> match ->
-plan -> group -> emit) for one configuration; ``rewrite_many`` runs many
+``rewrite_many`` is the one rewrite entry point above
+:meth:`~repro.core.pipeline.RewriteContext.rewrite`: it runs many
 configurations of the same binary while decoding the instruction stream
-once and caching matcher results — the eval/ablation drivers are thin
-loops over it.  Both surface per-pass wall-time and counters through the
-shared :class:`~repro.core.observe.Observer`.
+once and caching matcher results.  The CLI, the service daemon, the
+evaluation matrix and the eval/ablation drivers all call it;
+``instrument_elf`` is its single-configuration form.  Both surface
+per-pass wall-time and counters through the shared
+:class:`~repro.core.observe.Observer`.
 
 Two optional accelerators thread through every entry point:
 
@@ -15,10 +17,9 @@ Two optional accelerators thread through every entry point:
   with deterministic ordering and a serial fallback that produces the
   same bytes;
 * ``cache`` — an :class:`~repro.core.cache.ArtifactStore` persists
-  decoded instruction streams and matcher results (optionally whole
-  rewrite results) on disk, so warm runs skip ``DecodePass`` and
-  ``MatchPass`` entirely — checkable via ``pass.decode.runs == 0`` and
-  the ``cache.*`` counters.
+  decoded instruction streams and matcher results on disk, so warm runs
+  skip ``DecodePass`` and ``MatchPass`` entirely — checkable via
+  ``pass.decode.runs == 0`` and the ``cache.*`` counters.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from repro.core.pipeline import (EMISSION_MODES, DecodePass, MatchPass, RewriteC
 from repro.core.strategy import PatchRequest, TacticToggles
 from repro.core.trampoline import Counter, Empty, Instrumentation
 from repro.elf.reader import ElfFile
-from repro.errors import OptionsError
+from repro.errors import OptionsError, ReproError
 from repro.frontend.matchers import MATCHERS, Matcher, resolve_matcher
 from repro.x86.fastscan import InstructionStream
 
@@ -190,7 +191,6 @@ class _ConfigTask:
     frontend: str
     cache_root: str | None
     cache_max_bytes: int
-    cache_outputs: bool
 
 
 def _run_config_task(task: _ConfigTask):
@@ -203,7 +203,6 @@ def _run_config_task(task: _ConfigTask):
         task.data, [task.config],
         matcher=task.matcher, instrumentation=task.instrumentation,
         frontend=task.frontend, observer=observer, cache=cache,
-        cache_outputs=task.cache_outputs,
     )
     cache_stats = cache.stats.as_dict() if cache is not None else {}
     return report, observer.timings, observer.counters, cache_stats
@@ -218,7 +217,6 @@ def _rewrite_serial(
     frontend: str,
     observer: Observer | None,
     cache: ArtifactStore | None,
-    cache_outputs: bool,
     jobs: BatchExecutor | None = None,
 ) -> list[InstrumentReport]:
     """The in-process batch loop: one decode, cached matches, and a
@@ -254,33 +252,14 @@ def _rewrite_serial(
 
         body_spec = (cfg.instrumentation if cfg.instrumentation is not None
                      else instrumentation)
-        options = cfg.options or RewriteOptions()
-        output_key = None
-        if (cache is not None and cache_outputs and isinstance(spec, str)
-                and body_spec in (None, "empty")):
-            output_key = cache.output_key(decode_key, spec, options, "empty")
-            hit = cache.get("output", output_key)
-            if (isinstance(hit, tuple) and len(hit) == 2
-                    and isinstance(hit[0], RewriteResult)):
-                result, n_sites = hit
-                shared_observer.count("cache.output.hits")
-                result.timings, result.counters = (
-                    shared_observer.since(run_snapshot))
-                reports.append(InstrumentReport(
-                    result=result, n_sites=n_sites, label=cfg.label,
-                    **elf_meta))
-                continue
-            shared_observer.count("cache.output.misses")
-
-        ctx = RewriteContext(base.elf, options, observer=shared_observer,
+        ctx = RewriteContext(base.elf, cfg.options or RewriteOptions(),
+                             observer=shared_observer,
                              instructions=base.instructions)
         body, counter_vaddr = _resolve_instrumentation(ctx, body_spec)
         result = ctx.rewrite([PatchRequest(insn=i, instrumentation=body)
                               for i in sites])
         result.timings, result.counters = (
             shared_observer.since(run_snapshot))
-        if output_key is not None:
-            cache.put("output", output_key, (result, len(sites)))
         reports.append(InstrumentReport(
             result=result, n_sites=len(sites),
             counter_vaddr=counter_vaddr, label=cfg.label,
@@ -343,7 +322,6 @@ def rewrite_many(
     observer: Observer | None = None,
     jobs: int | ExecutorConfig | BatchExecutor | None = None,
     cache: ArtifactStore | None = None,
-    cache_outputs: bool = False,
 ) -> list[InstrumentReport]:
     """Rewrite one binary under many configurations, sharing the decode.
 
@@ -363,6 +341,11 @@ def rewrite_many(
     unpicklable matcher/instrumentation quietly degrades to serial, as
     does any batch whose effective concurrency is 1 (e.g. a one-CPU
     host, where forking workers would only forfeit the shared decode).
+
+    Calls are reentrant: each builds its own contexts and allocators,
+    so threads sharing one *cache* store and one frozen *jobs* config
+    get the bytes of serial runs; the service daemon relies on this.
+    Only an *observer* passed in is shared between calls.
     """
     norm = [cfg if isinstance(cfg, RewriteConfig) else RewriteConfig(options=cfg)
             for cfg in configs]
@@ -379,7 +362,6 @@ def rewrite_many(
             executor, bytes(source), norm,
             matcher=matcher, instrumentation=instrumentation,
             frontend=frontend, observer=observer, cache=cache,
-            cache_outputs=cache_outputs,
         )
         if reports is not None:
             return reports
@@ -387,7 +369,6 @@ def rewrite_many(
         source, norm,
         matcher=matcher, instrumentation=instrumentation,
         frontend=frontend, observer=observer, cache=cache,
-        cache_outputs=cache_outputs,
         # The serial batch path reuses the executor *inside* the decode:
         # a batch too small to fan out may still carry a binary large
         # enough for chunked intra-binary decode.
@@ -405,7 +386,6 @@ def _rewrite_parallel(
     frontend: str,
     observer: Observer | None,
     cache: ArtifactStore | None,
-    cache_outputs: bool,
 ) -> list[InstrumentReport] | None:
     """Fan the batch out across worker processes, or return None when a
     task cannot be shipped (the caller then takes the serial path, which
@@ -417,7 +397,6 @@ def _rewrite_parallel(
             frontend=frontend,
             cache_root=str(cache.root) if cache is not None else None,
             cache_max_bytes=cache.max_bytes if cache is not None else 0,
-            cache_outputs=cache_outputs,
         )
         for cfg in configs
     ]
@@ -644,6 +623,13 @@ def main(argv: list[str] | None = None) -> int:
         "--shared in loader mode; defaults to the output path)",
     )
     args = parser.parse_args(argv)
+    # Compile -M up front: a bad matcher is a usage error, reported
+    # before the input is read.  The string itself is what gets passed
+    # on, since the match cache keys on it.
+    try:
+        resolve_matcher(args.match)
+    except ReproError as exc:
+        parser.error(f"-M: {exc}")
 
     library_path = args.library_path
     if args.shared and library_path is None:
@@ -719,6 +705,9 @@ def main(argv: list[str] | None = None) -> int:
         for finding in exc.report.findings:
             print(f"  {finding}", file=sys.stderr)
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except ReproError as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     if report.counter_vaddr is not None and not args.json:
         print(f"counter at {report.counter_vaddr:#x}")

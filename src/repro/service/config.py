@@ -74,7 +74,6 @@ class ServiceConfig:
     max_body_bytes: int = DEFAULT_MAX_BODY_BYTES
     frontend: str = "linear"
     cache: CacheConfig | None = None
-    cache_outputs: bool = False
     executor: ExecutorConfig = field(default_factory=ExecutorConfig.from_env)
     #: Test-only artificial per-request delay (seconds); see
     #: :data:`TEST_DELAY_MS_ENV`.

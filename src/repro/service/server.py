@@ -1,4 +1,4 @@
-"""The rewrite daemon: asyncio HTTP front end over the reentrant engine.
+"""The rewrite daemon: asyncio HTTP front end over ``rewrite_many``.
 
 Architecture (one process, one event loop):
 
@@ -13,9 +13,11 @@ Architecture (one process, one event loop):
   backpressure is an API response, never a crash or an unbounded
   buffer;
 * **worker pool** — N loop tasks pull jobs and run the CPU-bound
-  rewrite in a thread pool via ``run_in_executor``; the engine
-  (:class:`~repro.frontend.engine.RewriteEngine`) is shared and
-  reentrant, so workers share only the artifact store;
+  rewrite in a thread pool via ``run_in_executor``; each request is
+  one :func:`~repro.frontend.tool.rewrite_many` call with its own
+  observer, which builds its own context and allocator, so workers
+  share only the artifact store and the configuration resolved at
+  startup;
 * **deadlines** — each request carries ``enqueue time +
   request_timeout``; a job that exceeds its budget (queue wait
   included) answers ``504 {"error": {"type": "timeout"}}``;
@@ -41,9 +43,11 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from repro.core.cache import ArtifactStore
+from repro.core.observe import Observer
 from repro.core.pipeline import RewriteOptions
 from repro.errors import OptionsError, ReproError
-from repro.frontend.engine import EngineConfig, RewriteEngine
+from repro.frontend.matchers import resolve_matcher
+from repro.frontend.tool import RewriteConfig, rewrite_many
 from repro.service.config import ServiceConfig
 from repro.service.metrics import ServiceMetrics
 
@@ -83,15 +87,11 @@ def _error_body(kind: str, message: str, **extra) -> dict:
 class RewriteService:
     """A single daemon process serving many concurrent rewrites."""
 
-    def __init__(self, config: ServiceConfig | None = None,
-                 engine: RewriteEngine | None = None) -> None:
-        self.config = config or ServiceConfig.from_env()
-        self.engine = engine or RewriteEngine(EngineConfig(
-            frontend=self.config.frontend,
-            cache=self.config.cache,
-            executor=self.config.executor,
-            cache_outputs=self.config.cache_outputs,
-        ))
+    def __init__(self, config: ServiceConfig | None = None) -> None:
+        self.config = cfg = config or ServiceConfig.from_env()
+        #: The one concurrency-safe store every request shares.
+        self.store = (ArtifactStore(config=cfg.cache)
+                      if cfg.cache is not None else None)
         self.metrics = ServiceMetrics()
         self.address: str | tuple[str, int] | None = None
         self._loop: asyncio.AbstractEventLoop | None = None
@@ -245,13 +245,16 @@ class RewriteService:
             self.metrics.count("bad_requests")
             return 400, _error_body("bad_request", f"invalid base64: {exc}")
         try:
-            report = self.engine.rewrite(
+            report = rewrite_many(
                 data,
-                matcher=payload.get("matcher", "jumps"),
-                instrumentation=payload.get("instrumentation"),
-                options=payload["options"],
-                frontend=payload.get("frontend"),
-            )
+                [RewriteConfig(matcher=payload.get("matcher", "jumps"),
+                               instrumentation=payload.get("instrumentation"),
+                               options=payload["options"])],
+                frontend=payload.get("frontend") or self.config.frontend,
+                observer=Observer(),
+                jobs=self.config.executor,
+                cache=self.store,
+            )[0]
         except ReproError as exc:
             self.metrics.count("rewrite_errors")
             return 422, _error_body("rewrite_failed", str(exc))
@@ -366,7 +369,6 @@ class RewriteService:
         }
 
     def _metrics_payload(self) -> dict:
-        store: ArtifactStore | None = self.engine.store
         return {
             "service": self.metrics.snapshot(
                 queued=self._queue.qsize() if self._queue else 0,
@@ -374,7 +376,8 @@ class RewriteService:
                 workers=self.config.effective_workers,
                 queue_depth=self.config.queue_depth,
             ),
-            "cache": store.stats.as_dict() if store is not None else None,
+            "cache": (self.store.stats.as_dict()
+                      if self.store is not None else None),
         }
 
     async def _rewrite_endpoint(
@@ -422,8 +425,15 @@ class RewriteService:
             raise _BadRequest("body must be a JSON object")
         if not isinstance(payload.get("binary"), str):
             raise _BadRequest("'binary' (base64 string) is required")
-        if not isinstance(payload.get("matcher", "jumps"), str):
+        matcher = payload.get("matcher", "jumps")
+        if not isinstance(matcher, str):
             raise _BadRequest("'matcher' must be a string")
+        # Compile once here so an unknown name or a bad expression is a
+        # 400; the payload keeps the string, which the match cache keys on.
+        try:
+            resolve_matcher(matcher)
+        except ReproError as exc:
+            raise _BadRequest(f"invalid matcher: {exc}") from None
         if payload.get("instrumentation") not in _INSTRUMENTATIONS:
             raise _BadRequest(
                 "'instrumentation' must be one of "

@@ -228,17 +228,3 @@ class TestConcurrency:
         stats = store.stats.as_dict()
         assert stats["get_seconds"] > 0.0
         assert stats["put_seconds"] > 0.0
-
-    def test_observer_receives_cache_counters(self, tmp_path):
-        from repro.core.observe import Observer
-
-        observer = Observer()
-        store = ArtifactStore(tmp_path, observer=observer)
-        key = store.decode_key(b"\x90", "linear")
-        store.get("decode", key)  # miss
-        store.put("decode", key, [1])
-        store.get("decode", key)  # hit
-        assert observer.counters["cache.misses"] == 1
-        assert observer.counters["cache.hits"] == 1
-        assert observer.counters["cache.stores"] == 1
-        assert "cache.get_us" in observer.counters

@@ -120,7 +120,7 @@ class TestInjectSlowdown:
 
 @pytest.mark.slow
 class TestRunCell:
-    """One real cell, scaled down, through the production engine path."""
+    """One real cell, scaled down, through the production rewrite path."""
 
     def test_serial_cell_metrics(self):
         result = run_cell(

@@ -1,6 +1,8 @@
 """Extended CLI features: expression matchers, templates, JSON stats."""
 
 import json
+import subprocess
+import sys
 
 from repro.frontend.tool import main
 from repro.synth.generator import SynthesisParams, synthesize
@@ -42,6 +44,34 @@ class TestExpressionMatcher:
         src, _ = make_input(tmp_path)
         dst = tmp_path / "out.elf"
         assert main([str(src), str(dst), "-M", "heap-writes"]) == 0
+
+
+class TestTypedErrors:
+    """Bad input is reported as one ``error:`` line, never a traceback."""
+
+    def run_cli(self, *args):
+        return subprocess.run(
+            [sys.executable, "-m", "repro.frontend.tool", *args],
+            capture_output=True, text=True, timeout=60)
+
+    def test_malformed_matcher_is_a_usage_error(self, tmp_path):
+        src, _ = make_input(tmp_path)
+        dst = tmp_path / "out.elf"
+        proc = self.run_cli("-M", "mnemonic ==", str(src), str(dst))
+        assert proc.returncode == 2
+        assert "-M:" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not dst.exists()
+
+    def test_non_elf_input_is_an_error_line(self, tmp_path):
+        src = tmp_path / "passwd"
+        src.write_text("nobody:x:65534:65534::/nonexistent:/bin/false\n")
+        dst = tmp_path / "out.elf"
+        proc = self.run_cli(str(src), str(dst))
+        assert proc.returncode == 1
+        assert "error: ElfError" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not dst.exists()
 
 
 class TestTemplateFlag:

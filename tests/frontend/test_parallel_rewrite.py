@@ -141,22 +141,6 @@ class TestCacheRoundTrip:
                      cache=ArtifactStore(tmp_path))
         assert stale_obs.runs("decode") == 1  # re-decoded from scratch
 
-    def test_output_cache_skips_planning(self, tmp_path):
-        data = make_binary()
-        cache = ArtifactStore(tmp_path)
-        cold = rewrite_many(data, [RewriteOptions(mode="loader")],
-                            matcher="jumps", cache=cache,
-                            cache_outputs=True)[0]
-
-        warm_obs = Observer()
-        warm = rewrite_many(data, [RewriteOptions(mode="loader")],
-                            matcher="jumps", observer=warm_obs,
-                            cache=ArtifactStore(tmp_path),
-                            cache_outputs=True)[0]
-        assert warm_obs.runs("plan") == 0
-        assert warm.result.data == cold.result.data
-        assert warm.n_sites == cold.n_sites
-
     def test_prepare_binary_cache_hit(self, tmp_path):
         data = make_binary()
         cache = ArtifactStore(tmp_path)

@@ -3,6 +3,7 @@
 import base64
 import json
 
+import pytest
 
 from repro.frontend.protocol import E9PatchSession
 from repro.synth.generator import SynthesisParams, synthesize
@@ -150,6 +151,28 @@ class TestErrors:
         session.handle(rpc("patch", {"address": binary.jump_sites[0] + 1}))
         r = session.handle(rpc("emit"))
         assert "error" in r
+
+    @pytest.mark.parametrize("messages", [
+        lambda sites: [("reserve", {"name": "hits", "size": "big"})],
+        lambda sites: [("instruction", {"addresses": ["x"]})],
+        lambda sites: [("patch", {"address": sites[0], "trampoline": "counter",
+                                  "args": {"counter": "nowhere"}}),
+                       ("emit", {"return_data": False})],
+        lambda sites: [("patch", {"address": sites[0], "trampoline": "counter",
+                                  "args": {"counter": [1]}})],
+    ], ids=["reserve-size", "instruction-addresses", "unreserved-arg",
+            "non-integer-arg"])
+    def test_bad_params_answer_an_error_object(self, messages):
+        binary = workload()
+        session = E9PatchSession()
+        session.handle(rpc("binary", {
+            "data": base64.b64encode(binary.data).decode()}))
+        for method, params in messages(binary.jump_sites):
+            r = session.handle(rpc(method, params))
+        assert r["error"]["code"] == -32000
+        # The session survives and answers the next request.
+        r = session.handle(rpc("options", {"mode": "loader"}))
+        assert r["result"] == {"ok": True}
 
     def test_parse_error_line(self):
         out = E9PatchSession().handle_line("{broken json")

@@ -1,5 +1,6 @@
-"""Engine reentrancy: N threads through one shared engine/store must
-produce byte-identical outputs to serial one-shot runs."""
+"""Reentrancy of the batch API: N threads calling ``rewrite_many`` over
+one shared artifact store must produce byte-identical outputs to serial
+one-shot runs."""
 
 from __future__ import annotations
 
@@ -10,8 +11,7 @@ from repro.core.cache import ArtifactStore, CacheConfig
 from repro.core.observe import Observer
 from repro.core.parallel import ExecutorConfig
 from repro.core.pipeline import RewriteOptions
-from repro.frontend.engine import EngineConfig, RewriteEngine
-from repro.frontend.tool import instrument_elf
+from repro.frontend.tool import RewriteConfig, instrument_elf, rewrite_many
 
 from tests.service.conftest import make_binary
 
@@ -21,22 +21,32 @@ def serial_reference(data: bytes, options: RewriteOptions) -> bytes:
     return instrument_elf(data, "jumps", options=options).result.data
 
 
+def rewrite(data: bytes, store: ArtifactStore | None, *,
+            matcher: str = "jumps", observer: Observer | None = None,
+            options: RewriteOptions | None = None):
+    """One request as the service issues it: a single-configuration
+    ``rewrite_many`` with a per-request observer and the shared store."""
+    return rewrite_many(
+        data, [RewriteConfig(matcher=matcher, options=options)],
+        observer=observer or Observer(),
+        jobs=ExecutorConfig(jobs=1), cache=store,
+    )[0]
+
+
 class TestReentrancy:
     def test_threads_same_binary_byte_identical(self, tmp_path):
         data = make_binary(seed=11)
         options = RewriteOptions(mode="loader")
         expected = serial_reference(data, options)
 
-        engine = RewriteEngine(EngineConfig(
-            cache=CacheConfig.from_env(tmp_path),
-            executor=ExecutorConfig(jobs=1),
-        ))
+        store = ArtifactStore(config=CacheConfig.from_env(tmp_path))
         with ThreadPoolExecutor(max_workers=8) as pool:
             outputs = list(pool.map(
-                lambda _: engine.rewrite(data, options=options).result.data,
+                lambda _: rewrite(data, store, options=options).result.data,
                 range(16)))
+        assert len(outputs) == 16
         assert all(out == expected for out in outputs)
-        stats = engine.store.stats
+        stats = store.stats
         assert stats.errors == 0
         assert stats.hits + stats.misses > 0
 
@@ -48,13 +58,12 @@ class TestReentrancy:
         expected = {seed: serial_reference(data, options)
                     for seed, data in binaries.items()}
 
-        engine = RewriteEngine(EngineConfig(
-            cache=CacheConfig.from_env(tmp_path)))
+        store = ArtifactStore(config=CacheConfig.from_env(tmp_path))
         results: dict[int, list[bytes]] = {seed: [] for seed in binaries}
         lock = threading.Lock()
 
         def worker(seed: int) -> None:
-            out = engine.rewrite(binaries[seed], options=options).result.data
+            out = rewrite(binaries[seed], store, options=options).result.data
             with lock:
                 results[seed].append(out)
 
@@ -66,37 +75,33 @@ class TestReentrancy:
             assert all(out == expected[seed] for out in outs)
 
     def test_shared_store_across_engines(self, tmp_path):
-        """Two engines over one store: the second is all warm hits."""
+        """Two callers over one store: the second is all warm hits."""
         data = make_binary(seed=9)
         store = ArtifactStore(tmp_path)
         options = RewriteOptions(mode="loader")
 
-        first = RewriteEngine(store=store)
-        second = RewriteEngine(store=store)
-        a = first.rewrite(data, options=options)
+        a = rewrite(data, store, options=options)
         observer = Observer()
-        b = second.rewrite(data, options=options, observer=observer)
+        b = rewrite(data, store, options=options, observer=observer)
         assert a.result.data == b.result.data
         assert observer.runs("decode") == 0  # served from the shared store
 
     def test_per_request_observer_isolation(self, tmp_path):
         data = make_binary(seed=5)
-        engine = RewriteEngine()
         obs_a, obs_b = Observer(), Observer()
-        engine.rewrite(data, options=RewriteOptions(mode="loader"),
-                       observer=obs_a)
-        engine.rewrite(data, options=RewriteOptions(mode="loader"),
-                       observer=obs_b)
+        rewrite(data, None, options=RewriteOptions(mode="loader"),
+                observer=obs_a)
+        rewrite(data, None, options=RewriteOptions(mode="loader"),
+                observer=obs_b)
         # Each request's observer saw exactly its own pipeline.
         assert obs_a.runs("decode") == 1
         assert obs_b.runs("decode") == 1
 
     def test_matcher_expression_accepted(self):
         data = make_binary(seed=3)
-        engine = RewriteEngine()
-        report = engine.rewrite(
-            data, matcher='mnemonic == "jmp" and size >= 2',
-            options=RewriteOptions(mode="loader"))
+        report = rewrite(data, None,
+                         matcher='mnemonic == "jmp" and size >= 2',
+                         options=RewriteOptions(mode="loader"))
         assert report.n_sites > 0
 
 

@@ -94,6 +94,19 @@ class TestErrors:
                                options={"granularty": 2})
             assert excinfo.value.status == 400
 
+    @pytest.mark.parametrize("matcher", ["bogus", "mnemonic =="])
+    def test_malformed_matcher_is_400_before_queueing(self, tmp_path,
+                                                      matcher):
+        binary = base64.b64encode(make_binary(seed=2)).decode()
+        with running_service(tmp_path, cache=False) as (_, client):
+            status, body, _ = client.request(
+                "POST", "/rewrite", {"binary": binary, "matcher": matcher})
+            assert status == 400
+            assert body["error"]["type"] == "bad_request"
+            assert "matcher" in body["error"]["message"]
+            counters = client.metrics()["service"]["counters"]
+            assert counters["rewrites_total"] == 0  # never queued
+
     def test_unknown_route_is_404_and_wrong_method_is_405(self, tmp_path):
         with running_service(tmp_path, cache=False) as (_, client):
             assert client.request("GET", "/nope")[0] == 404
